@@ -17,41 +17,38 @@ Gaussian law (--sigma1/--sigma2/--rho), printed moment matrices
 moment), or a data table with a recipe (--data/--recipe).
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical
-non-convergence.  Output formats: table (4 decimals), csv (full
-precision), jsonl (infinities as null with an "infinite" flag).
+non-convergence (certificate search or eigensolver).  Output formats:
+table (4 decimals), csv (full precision), jsonl (infinities as null with an
+"infinite" flag).
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 import click
 import numpy as np
 
-from . import __version__, presets
-from .bounds import (CriterionKind, GainTooLarge, InvalidRate, asymptotic_bound,
-                     max_chi_search, protocol_gain, sup_gain)
-from .ingest import (ColumnOutOfRange, ParseError, RaggedRow, RegressorRecipe,
-                     build_design, parse_table, write_canonical_csv)
-from .lmi import NonConvergence
-from .moments import (DimMismatch, EmptyData, InvalidCovariance, MomentModel,
-                      UnsupportedOperator, empirical_moment_model,
-                      gaussian_moment_model, GaussianSpec,
-                      explicit_moment_model)
-from .report import (Cell, Table, build_errorbound_table, build_supgain_table,
-                     classification_annotations, supgain_results,
-                     write_benchmark_reports, CRITERIA_ORDER)
+from . import __version__, linalg, presets, report
+from .bounds import CriterionKind
+from .ingest import (ColumnOutOfRange, RegressorRecipe, build_design,
+                     parse_table, write_canonical_csv)
+from .linalg import NonConvergence
+from .moments import (GaussianSpec, MomentModel, UnsupportedOperator,
+                      empirical_moment_model, explicit_moment_model,
+                      gaussian_moment_model)
+from .report import CRITERIA_ORDER, Cell, Table
 from .simulate import SimConfig, run_lms
-from . import linalg
 
-_CONFIG_ERRORS = (InvalidCovariance, DimMismatch, EmptyData, ParseError,
-                  RaggedRow, ColumnOutOfRange, UnsupportedOperator,
-                  GainTooLarge, InvalidRate, linalg.InvalidMatrix,
-                  linalg.NotPositiveDefinite)
+# Every library error for bad input is a ValueError, except these two.
+_INPUT_ERRORS = (ValueError, OSError, ColumnOutOfRange, UnsupportedOperator)
+
+# Config keys named unlike the parameter they set.
+_CONFIG_RENAMES = {"format": "fmt", "init": "init_law"}
 
 
 def _fail(code: int, message: str) -> None:
@@ -59,35 +56,22 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load_config(path: Optional[str]) -> dict[str, str]:
+def _load_config(ctx: click.Context, param, path):
+    """Eager --config callback: the file's keys become the command defaults."""
     if path is None:
-        return {}
+        return None
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        _fail(2, f"config file {path!r}: {exc}")
     if not read:
         _fail(2, f"config file {path!r} not found")
     merged: dict[str, str] = dict(parser.defaults())
     for section in parser.sections():
         merged.update(parser[section])
-    return merged
-
-
-class Resolver:
-    """Flag value if given, else config-file value, else default."""
-
-    def __init__(self, config: dict[str, str]):
-        self.config = config
-
-    def get(self, flag_value, key: str, cast=str, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in self.config:
-            raw = self.config[key]
-            try:
-                return cast(raw)
-            except ValueError:
-                _fail(2, f"config key {key} has bad value {raw!r}")
-        return default
+    ctx.default_map = {_CONFIG_RENAMES.get(k, k): v for k, v in merged.items()}
+    return path
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -101,22 +85,13 @@ def _load_moments_file(path: str) -> MomentModel:
     table = parse_table(path)
     rows, cols = table.values.shape
     if rows != 2 * cols:
-        _fail(2, f"moments file must stack S over M4 (2m rows of m numbers); "
-                 f"got {rows} rows of {cols}")
+        raise ValueError(f"moments file must stack S over M4 (2m rows of m "
+                         f"numbers); got {rows} rows of {cols}")
     return explicit_moment_model(table.values[:cols], table.values[cols:])
 
 
-def _resolve_model(res: Resolver, model, sigma1, sigma2, rho, moments_file,
-                   data, recipe, response_col) -> tuple[str, MomentModel]:
-    model = res.get(model, "model")
-    sigma1 = res.get(sigma1, "sigma1", float)
-    sigma2 = res.get(sigma2, "sigma2", float)
-    rho = res.get(rho, "rho", float)
-    moments_file = res.get(moments_file, "moments_file")
-    data = res.get(data, "data")
-    recipe = res.get(recipe, "recipe")
-    response_col = res.get(response_col, "response_col", int)
-
+def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
+                   response_col) -> tuple[str, MomentModel]:
     gaussian = sigma1 is not None or sigma2 is not None or rho is not None
     sources = [model is not None, gaussian, moments_file is not None,
                data is not None]
@@ -145,33 +120,24 @@ def _resolve_model(res: Resolver, model, sigma1, sigma2, rho, moments_file,
     return Path(data).name, empirical_moment_model(design)
 
 
-def _build_model(res: Resolver, model, sigma1, sigma2, rho, moments_file,
-                 data, recipe, response_col) -> tuple[str, MomentModel]:
-    """Model resolution with input failures mapped to the config exit code."""
-    try:
-        return _resolve_model(res, model, sigma1, sigma2, rho, moments_file,
-                              data, recipe, response_col)
-    except click.UsageError:
-        raise
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except (ValueError, OSError) as exc:
-        _fail(2, str(exc))
-
-
 def _emit(table: Table, fmt: str) -> None:
-    if fmt == "table":
-        click.echo(table.to_text(), nl=False)
-    elif fmt == "csv":
-        click.echo(table.to_csv(), nl=False)
-    else:
-        click.echo(table.to_jsonl(), nl=False)
+    render = {"table": table.to_text, "csv": table.to_csv, "jsonl": table.to_jsonl}
+    click.echo(render[fmt](), nl=False)
+
+
+_config_option = click.option(
+    "--config", type=click.Path(), is_eager=True, expose_value=False,
+    callback=_load_config, help="INI config; flags override its keys.")
+_mode_option = click.option("--mode", type=click.Choice(["strict", "relaxed"]),
+                            default="relaxed")
+_format_option = click.option(
+    "--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
+    default="table")
 
 
 def _model_options(f):
     for opt in reversed([
-        click.option("--config", type=click.Path(), default=None,
-                     help="INI config; flags override its keys."),
+        _config_option,
         click.option("--model", default=None,
                      help="bundled benchmark name (1A, 1B, 1C, 1D, reed)"),
         click.option("--sigma1", type=float, default=None),
@@ -187,7 +153,19 @@ def _model_options(f):
     return f
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps library errors to the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except NonConvergence as exc:
+            _fail(3, str(exc))
+        except _INPUT_ERRORS as exc:
+            _fail(2, str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="lmsbound")
 def main():
     """Certified constant-gain bounds and error bounds for LMS."""
@@ -198,18 +176,11 @@ def main():
 @click.option("--criteria", default=None,
               help="comma list: theorem1,corollary2,widrow_lambda_max,"
                    "widrow_trace,zhu_criterion")
-@click.option("--mode", type=click.Choice(["strict", "relaxed"]), default=None)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
-              default=None)
-def supgain(config, model, sigma1, sigma2, rho, moments_file, data, recipe,
-            response_col, criteria, mode, fmt):
+@_mode_option
+@_format_option
+def supgain(criteria, mode, fmt, **source):
     """Largest admissible constant gain per criterion for one model."""
-    res = Resolver(_load_config(config))
-    name, moment_model = _build_model(res, model, sigma1, sigma2, rho,
-                                      moments_file, data, recipe, response_col)
-    criteria = res.get(criteria, "criteria")
-    mode = res.get(mode, "mode", default="relaxed")
-    fmt = res.get(fmt, "format", default="table")
+    name, moment_model = _resolve_model(**source)
     kinds = list(CRITERIA_ORDER)
     if criteria:
         try:
@@ -217,151 +188,84 @@ def supgain(config, model, sigma1, sigma2, rho, moments_file, data, recipe,
                      for tok in criteria.split(",") if tok.strip()]
         except ValueError as exc:
             raise click.UsageError(str(exc))
+    results = report.supgain_results((name,), kinds, mode=mode,
+                                     models={name: moment_model})
     table = Table(f"supgain:{name}",
                   ("sup_gain", "slack", "p_min_eigenvalue", "flags", "note"))
-    try:
-        for kind in kinds:
-            if kind is CriterionKind.THEOREM1 and not moment_model.supports_general_p:
-                table.add_row(kind.value, [
-                    Cell(text="skipped"), Cell(), Cell(), Cell(),
-                    Cell(text="free-matrix certificates need a fourth-moment "
-                              "operator; model carries printed matrices only")])
-                continue
-            r = sup_gain(moment_model, kind, mode=mode)
-            flags = []
-            if r.inapplicable:
-                flags.append("inapplicable")
-            if r.tolerance_limited:
-                flags.append("tolerance-limited")
-            if r.strictly_infeasible:
-                flags.append("strictly-infeasible")
-            cert = r.certificate
+    for kind in kinds:
+        r = results[(name, kind)]
+        if r is None:
             table.add_row(kind.value, [
-                Cell(value=r.sup_gain),
-                Cell(value=cert.slack) if cert else Cell(),
-                Cell(value=cert.p_min_eigenvalue) if cert else Cell(),
-                Cell(text=";".join(flags)),
-                Cell(text=r.note),
-            ])
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except NonConvergence as exc:
-        _fail(3, str(exc))
+                Cell(text="skipped"), Cell(), Cell(), Cell(),
+                Cell(text="free-matrix certificates need a fourth-moment "
+                          "operator; model carries printed matrices only")])
+            continue
+        flags = [flag for flag, on in (("inapplicable", r.inapplicable),
+                                       ("tolerance-limited", r.tolerance_limited),
+                                       ("strictly-infeasible", r.strictly_infeasible))
+                 if on]
+        cert = r.certificate
+        table.add_row(kind.value, [
+            Cell(value=r.sup_gain),
+            Cell(value=cert.slack) if cert else Cell(),
+            Cell(value=cert.p_min_eigenvalue) if cert else Cell(),
+            Cell(text=";".join(flags)),
+            Cell(text=r.note),
+        ])
     _emit(table, fmt)
 
 
 @main.command()
 @_model_options
-@click.option("--xi", type=float, default=None, help="gain backoff from sup")
+@click.option("--xi", type=float, default=presets.XI, help="gain backoff from sup")
 @click.option("--gain", type=float, default=None,
               help="working gain (default: corollary2 sup minus xi)")
-@click.option("--sigma-eps", type=float, default=None)
-@click.option("--mode", type=click.Choice(["strict", "relaxed"]), default=None)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
-              default=None)
-def errorbound(config, model, sigma1, sigma2, rho, moments_file, data, recipe,
-               response_col, xi, gain, sigma_eps, mode, fmt):
+@click.option("--sigma-eps", type=float, default=presets.SIGMA_EPS)
+@_mode_option
+@_format_option
+def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
     """Certified rates and asymptotic error bounds at the working gain."""
-    res = Resolver(_load_config(config))
-    name, moment_model = _build_model(res, model, sigma1, sigma2, rho,
-                                      moments_file, data, recipe, response_col)
-    xi = res.get(xi, "xi", float, presets.XI)
-    gain = res.get(gain, "gain", float)
-    sigma_eps = res.get(sigma_eps, "sigma_eps", float, presets.SIGMA_EPS)
-    mode = res.get(mode, "mode", default="relaxed")
-    fmt = res.get(fmt, "format", default="table")
+    name, moment_model = _resolve_model(**source)
     if xi <= 0:
         raise click.UsageError(f"xi must be positive, got {xi}")
-    try:
-        table = Table(f"errorbound:{name}", ("value",))
-        base = sup_gain(moment_model, CriterionKind.COROLLARY2, mode=mode)
-        a = gain if gain is not None else protocol_gain(base.sup_gain, xi)
-        table.add_row("gain", [Cell(value=a)])
-
-        c2 = max_chi_search(moment_model, CriterionKind.COROLLARY2, a, mode=mode)
-        if moment_model.supports_general_p:
-            t1 = max_chi_search(moment_model, CriterionKind.THEOREM1, a, mode=mode)
-            table.add_row("chi_theorem1", [Cell(value=t1.chi)])
-        else:
-            t1 = None
-            table.add_row("chi_theorem1", [Cell(text="skipped")])
-        table.add_row("chi_corollary2", [Cell(value=c2.chi)])
-        if t1 is not None:
-            table.add_row("theorem1", [Cell(value=asymptotic_bound(
-                CriterionKind.THEOREM1, a, t1.chi, t1.p_matrix,
-                moment_model.second_moment, sigma_eps))])
-        else:
-            table.add_row("theorem1", [Cell(
-                text="skipped",
-                note="free-matrix certificates need a fourth-moment operator")])
-        table.add_row("corollary2", [Cell(value=asymptotic_bound(
-            CriterionKind.COROLLARY2, a, c2.chi, None,
-            moment_model.second_moment, sigma_eps))])
-        table.add_row("zhu_criterion", [Cell(value=asymptotic_bound(
-            CriterionKind.ZHU, a, None, None,
-            moment_model.second_moment, sigma_eps))])
-        flags = []
-        if c2.tolerance_limited:
-            flags.append("corollary2 tolerance-limited")
-        if t1 is not None and t1.tolerance_limited:
-            flags.append("theorem1 tolerance-limited")
-        table.add_row("flags", [Cell(text="; ".join(flags))])
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except NonConvergence as exc:
-        _fail(3, str(exc))
-    _emit(table, fmt)
+    table = report.build_errorbound_table(
+        (name,), models={name: moment_model}, simulate=False, mode=mode,
+        xi=xi, sigma_eps=sigma_eps, gain=gain)
+    _emit(dataclasses.replace(table, name=f"errorbound:{name}",
+                              columns=("value",)), fmt)
 
 
 @main.command()
 @_model_options
-@click.option("--gain", type=float, default=None, required=False)
-@click.option("--sigma-eps", type=float, default=None)
+@click.option("--gain", type=float, default=None)
+@click.option("--sigma-eps", type=float, default=presets.SIGMA_EPS)
 @click.option("--theta-star", default=None, help="comma-separated true parameter")
-@click.option("--init", "init_law", default=None,
+@click.option("--init", "init_law", default="normal",
               help='"normal" (default), "zeros", or comma-separated vector')
-@click.option("--iters", type=int, default=None, help="steps per replication")
-@click.option("--reps", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
-              default=None)
-def simulate(config, model, sigma1, sigma2, rho, moments_file, data, recipe,
-             response_col, gain, sigma_eps, theta_star, init_law, iters, reps,
-             seed, fmt):
+@click.option("--iters", type=int, default=presets.K_MAX,
+              help="steps per replication")
+@click.option("--reps", type=int, default=presets.REPLICATIONS)
+@click.option("--seed", type=int, default=presets.DEFAULT_MASTER_SEED)
+@_format_option
+def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
+             **source):
     """Monte Carlo LMS run; echoes the resolved protocol for reproducibility."""
-    res = Resolver(_load_config(config))
-    name, moment_model = _build_model(res, model, sigma1, sigma2, rho,
-                                      moments_file, data, recipe, response_col)
-    gain = res.get(gain, "gain", float)
+    name, moment_model = _resolve_model(**source)
     if gain is None:
         raise click.UsageError("--gain is required for simulate")
-    sigma_eps = res.get(sigma_eps, "sigma_eps", float, presets.SIGMA_EPS)
-    theta_star = res.get(theta_star, "theta_star")
-    init_law = res.get(init_law, "init", default="normal")
-    iters = res.get(iters, "iters", int, presets.K_MAX)
-    reps = res.get(reps, "reps", int, presets.REPLICATIONS)
-    seed = res.get(seed, "seed", int, presets.DEFAULT_MASTER_SEED)
-    fmt = res.get(fmt, "format", default="table")
-
     dim = moment_model.dim
     star = (_parse_vector(theta_star) if theta_star is not None
-            else (presets.THETA_STAR if dim == presets.THETA_STAR.shape[0]
-                  else np.ones(dim)))
+            else presets.protocol_theta_star(dim))
     if init_law == "normal":
         init = "standard_normal"
     elif init_law == "zeros":
         init = np.zeros(dim)
     else:
         init = _parse_vector(init_law)
-    try:
-        sim = run_lms(SimConfig(
-            model=moment_model, theta_star=star, gain=gain,
-            sigma_eps=sigma_eps, k_max=iters, replications=reps,
-            master_seed=seed, init=init))
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except ValueError as exc:
-        _fail(2, str(exc))
+    sim = run_lms(SimConfig(
+        model=moment_model, theta_star=star, gain=gain,
+        sigma_eps=sigma_eps, k_max=iters, replications=reps,
+        master_seed=seed, init=init))
 
     resolved = {
         "model": name, "gain": gain, "sigma_eps": sigma_eps,
@@ -399,67 +303,42 @@ def simulate(config, model, sigma1, sigma2, rho, moments_file, data, recipe,
     else:
         for key, value in {**resolved, **summary}.items():
             click.echo(f"{key} = {value}")
-    sys.exit(0)
 
 
-@main.command()
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--out-dir", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--reps", type=int, default=None)
-@click.option("--iters", type=int, default=None)
-@click.option("--mode", type=click.Choice(["strict", "relaxed"]), default=None)
+@main.command(name="report")
+@_config_option
+@click.option("--out-dir", type=click.Path(), default="reports")
+@click.option("--seed", type=int, default=presets.DEFAULT_MASTER_SEED)
+@click.option("--reps", type=int, default=presets.REPLICATIONS)
+@click.option("--iters", type=int, default=presets.K_MAX)
+@_mode_option
 @click.option("--skip-simulation", is_flag=True, default=False,
               help="omit classification and simulation rows (fast)")
-def report(config, out_dir, seed, reps, iters, mode, skip_simulation):
+def report_command(out_dir, seed, reps, iters, mode, skip_simulation):
     """Write the benchmark sup-gain and error-bound tables as CSV files."""
-    res = Resolver(_load_config(config))
-    out_dir = res.get(out_dir, "out_dir", default="reports")
-    seed = res.get(seed, "seed", int, presets.DEFAULT_MASTER_SEED)
-    reps = res.get(reps, "reps", int, presets.REPLICATIONS)
-    iters = res.get(iters, "iters", int, presets.K_MAX)
-    mode = res.get(mode, "mode", default="relaxed")
-    try:
-        path3, path4 = write_benchmark_reports(
-            out_dir, mode=mode, master_seed=seed, k_max=iters,
-            replications=reps, simulate=not skip_simulation)
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except NonConvergence as exc:
-        _fail(3, str(exc))
+    path3, path4 = report.write_benchmark_reports(
+        out_dir, mode=mode, master_seed=seed, k_max=iters,
+        replications=reps, simulate=not skip_simulation)
     click.echo(str(path3))
     click.echo(str(path4))
 
 
 @main.command(name="ingest-check")
-@click.option("--config", type=click.Path(), default=None)
+@_config_option
 @click.option("--data", type=click.Path(), default=None)
 @click.option("--recipe", default=None)
 @click.option("--response-col", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="write the design matrix as canonical CSV")
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
-              default=None)
-def ingest_check(config, data, recipe, response_col, out, fmt):
+@_format_option
+def ingest_check(data, recipe, response_col, out, fmt):
     """Parse a table, build the design matrix, summarize its moments."""
-    res = Resolver(_load_config(config))
-    data = res.get(data, "data")
-    recipe = res.get(recipe, "recipe")
-    response_col = res.get(response_col, "response_col", int)
-    out = res.get(out, "out")
-    fmt = res.get(fmt, "format", default="table")
     if data is None or recipe is None:
         raise click.UsageError("--data and --recipe are required")
-    try:
-        raw = parse_table(data)
-        parsed = RegressorRecipe.parse(recipe)
-        design = build_design(raw, parsed, response_col)
-        model = empirical_moment_model(design)
-        values, _ = linalg.eigh(model.second_moment)
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
-    except (ValueError, OSError) as exc:
-        _fail(2, str(exc))
+    raw = parse_table(data)
+    parsed = RegressorRecipe.parse(recipe)
+    design = build_design(raw, parsed, response_col)
+    values, _ = linalg.eigh(empirical_moment_model(design).second_moment)
     if out is not None:
         write_canonical_csv(design.rows, out)
     table = Table(f"ingest:{Path(data).name}", ("value",))

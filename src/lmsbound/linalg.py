@@ -26,6 +26,10 @@ class NotPositiveDefinite(ValueError):
         super().__init__(f"pivot {index} is not positive (got {value:.6g})")
 
 
+class NonConvergence(RuntimeError):
+    """The solver exhausted its iteration budget without a decision."""
+
+
 class EigenDecomp(NamedTuple):
     values: np.ndarray   # ascending
     vectors: np.ndarray  # columns, orthonormal
@@ -89,7 +93,7 @@ def eigh(a) -> EigenDecomp:
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
     else:
-        raise RuntimeError("Jacobi sweeps did not converge")
+        raise NonConvergence("Jacobi sweeps did not converge")
 
     values = np.diag(A).copy()
     order = np.argsort(values, kind="stable")

@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .linalg import NonConvergence
 from .moments import MomentModel
 
 logger = logging.getLogger(__name__)
@@ -46,10 +47,6 @@ RELAXED_TOL_DEFAULT = 1e-5
 STRICT_MARGIN = 1e-9
 TRACE_CAP_FACTOR = 1e6
 _POLISH_ITERS = 300
-
-
-class NonConvergence(RuntimeError):
-    """The solver exhausted its iteration budget without a decision."""
 
 
 @dataclass(frozen=True)

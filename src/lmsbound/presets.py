@@ -59,6 +59,11 @@ XI = 1e-4
 _INIT_STREAM = 2**32 - 1
 
 
+def protocol_theta_star(dim: int) -> np.ndarray:
+    """True parameter of the benchmark protocol: THETA_STAR, or ones(dim)."""
+    return THETA_STAR if THETA_STAR.shape[0] == dim else np.ones(dim)
+
+
 def protocol_init(master_seed: int, dim: int = 2) -> np.ndarray:
     """Shared initial estimate for the benchmark protocol.
 

@@ -184,15 +184,6 @@ def build_supgain_table(
 _CLASS_LETTER = {"bounded": "C", "diverged": "N", "indeterminate": "?"}
 
 
-def _protocol_star(dim: int) -> np.ndarray:
-    star = presets.THETA_STAR
-    return star if star.shape[0] == dim else np.ones(dim)
-
-
-def _protocol_init(dim: int, master_seed: int) -> np.ndarray:
-    return presets.protocol_init(master_seed, dim)
-
-
 def classification_annotations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
         names: Sequence[str] = presets.BENCHMARK_NAMES,
@@ -219,8 +210,9 @@ def classification_annotations(
         model = (models or {}).get(name) or presets.benchmark_model(name)
         if model.sampling_cov is None:
             continue
-        star = _protocol_star(model.dim) if theta_star is None else theta_star
-        start = _protocol_init(model.dim, master_seed) if init is None else init
+        star = (presets.protocol_theta_star(model.dim)
+                if theta_star is None else theta_star)
+        start = presets.protocol_init(master_seed, model.dim) if init is None else init
         for kind in criteria:
             result = results.get((name, kind))
             if result is None:
@@ -255,76 +247,65 @@ def build_errorbound_table(
         replications: int = presets.REPLICATIONS,
         master_seed: int = presets.DEFAULT_MASTER_SEED,
         simulate: bool = True,
-        models: Optional[dict[str, MomentModel]] = None) -> Table:
+        models: Optional[dict[str, MomentModel]] = None,
+        gain: Optional[float] = None) -> Table:
     """Error-bound table at the identity-certificate working gain per benchmark.
 
     Rows: the working gain, the maximal certified rates (free-matrix and
     identity certificates), the three asymptotic bounds, the Monte Carlo
     terminal error, and a flag row marking tolerance-limited certificates.
+    A given ``gain`` replaces the working gain derived from the corollary2
+    sup, which is then not searched.
     """
-    table = Table("errorbound", tuple(names))
-    gains: list[Cell] = []
-    chi_t1: list[Cell] = []
-    chi_c2: list[Cell] = []
-    bound_t1: list[Cell] = []
-    bound_c2: list[Cell] = []
-    bound_zhu: list[Cell] = []
-    sim_row: list[Cell] = []
-    flags: list[Cell] = []
+    columns: list[dict[str, Cell]] = []
     for name in names:
         model = (models or {}).get(name) or presets.benchmark_model(name)
-        star = _protocol_star(model.dim) if theta_star is None else theta_star
-        start = _protocol_init(model.dim, master_seed) if init is None else init
-        base = sup_gain(model, CriterionKind.COROLLARY2, mode=mode)
-        gain = protocol_gain(base.sup_gain, xi)
-        gains.append(Cell(value=gain))
-        flag_parts = []
-
-        c2 = max_chi_search(model, CriterionKind.COROLLARY2, gain, mode=mode)
-        chi_c2.append(Cell(value=c2.chi))
-        bound_c2.append(Cell(value=asymptotic_bound(
-            CriterionKind.COROLLARY2, gain, c2.chi, None,
-            model.second_moment, sigma_eps)))
-        if c2.tolerance_limited:
-            flag_parts.append("corollary2 tolerance-limited")
+        a = gain
+        if a is None:
+            base = sup_gain(model, CriterionKind.COROLLARY2, mode=mode)
+            a = protocol_gain(base.sup_gain, xi)
+        second = model.second_moment
+        c2 = max_chi_search(model, CriterionKind.COROLLARY2, a, mode=mode)
+        col = {"gain": Cell(value=a), "chi_corollary2": Cell(value=c2.chi),
+               "corollary2": Cell(value=asymptotic_bound(
+                   CriterionKind.COROLLARY2, a, c2.chi, None, second, sigma_eps)),
+               "simulation": Cell()}
+        flags = ["corollary2 tolerance-limited"] if c2.tolerance_limited else []
 
         if model.supports_general_p:
-            t1 = max_chi_search(model, CriterionKind.THEOREM1, gain, mode=mode)
-            chi_t1.append(Cell(value=t1.chi))
-            bound_t1.append(Cell(value=asymptotic_bound(
-                CriterionKind.THEOREM1, gain, t1.chi, t1.p_matrix,
-                model.second_moment, sigma_eps)))
+            t1 = max_chi_search(model, CriterionKind.THEOREM1, a, mode=mode)
+            col["chi_theorem1"] = Cell(value=t1.chi)
+            col["theorem1"] = Cell(value=asymptotic_bound(
+                CriterionKind.THEOREM1, a, t1.chi, t1.p_matrix, second, sigma_eps))
             if t1.tolerance_limited:
-                flag_parts.append("theorem1 tolerance-limited")
+                flags.append("theorem1 tolerance-limited")
         else:
-            chi_t1.append(Cell(text="skipped"))
-            bound_t1.append(Cell(
+            col["chi_theorem1"] = Cell(text="skipped")
+            col["theorem1"] = Cell(
                 text="skipped",
-                note="free-matrix certificates need a fourth-moment operator"))
+                note="free-matrix certificates need a fourth-moment operator")
 
-        bound_zhu.append(Cell(value=asymptotic_bound(
-            CriterionKind.ZHU, gain, None, None,
-            model.second_moment, sigma_eps)))
+        col["zhu_criterion"] = Cell(value=asymptotic_bound(
+            CriterionKind.ZHU, a, None, None, second, sigma_eps))
 
         if simulate and model.sampling_cov is not None:
             sim = run_lms(SimConfig(
-                model=model, theta_star=star, gain=gain, sigma_eps=sigma_eps,
-                k_max=k_max, replications=replications,
-                master_seed=master_seed, init=start))
-            sim_row.append(Cell(value=sim.terminal_mse))
-        else:
-            sim_row.append(Cell())
-        flags.append(Cell(text="; ".join(flag_parts)))
+                model=model, gain=a, sigma_eps=sigma_eps, k_max=k_max,
+                replications=replications, master_seed=master_seed,
+                theta_star=(presets.protocol_theta_star(model.dim)
+                            if theta_star is None else theta_star),
+                init=(presets.protocol_init(master_seed, model.dim)
+                      if init is None else init)))
+            col["simulation"] = Cell(value=sim.terminal_mse)
+        col["flags"] = Cell(text="; ".join(flags))
+        columns.append(col)
 
-    table.add_row("gain", gains)
-    table.add_row("chi_theorem1", chi_t1)
-    table.add_row("chi_corollary2", chi_c2)
-    table.add_row("theorem1", bound_t1)
-    table.add_row("corollary2", bound_c2)
-    table.add_row("zhu_criterion", bound_zhu)
-    if simulate:
-        table.add_row("simulation", sim_row)
-    table.add_row("flags", flags)
+    rows = ["gain", "chi_theorem1", "chi_corollary2", "theorem1",
+            "corollary2", "zhu_criterion"]
+    rows += ["simulation", "flags"] if simulate else ["flags"]
+    table = Table("errorbound", tuple(names))
+    for row in rows:
+        table.add_row(row, [col[row] for col in columns])
     return table
 
 

@@ -280,6 +280,86 @@ class TestConfigFile:
         res = run(runner, "supgain", "--config", str(tmp_path / "nope.ini"))
         assert res.exit_code == 2
 
+    def test_keys_named_unlike_their_parameters(self, runner, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[model]\nmodel = 1A\n\n"
+                       "[protocol]\ngain = 0\niters = 1\nreps = 3\n"
+                       "init = zeros\nformat = jsonl\n")
+        res = run(runner, "simulate", "--config", str(cfg))
+        assert res.exit_code == 0
+        lines = [json.loads(ln) for ln in res.output.strip().splitlines()]
+        assert lines[0]["config"]["init"] == "zeros"
+        assert [e["terminal_sq_error"] for e in lines[1:-1]] == [2.0] * 3
+
+    def test_report_out_dir_from_config(self, runner, tmp_path):
+        out = tmp_path / "from-config"
+        cfg = tmp_path / "report.ini"
+        cfg.write_text(f"[report]\nout_dir = {out}\n")
+        res = run(runner, "report", "--config", str(cfg), "--skip-simulation")
+        assert res.exit_code == 0
+        assert res.output.strip().splitlines() == [
+            str(out / "table3.csv"), str(out / "table4.csv")]
+        assert (out / "table4.csv").exists()
+
+    def test_file_without_section_is_input_error(self, runner, tmp_path):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("model = 1A\n")
+        res = run(runner, "supgain", "--config", str(cfg))
+        assert res.exit_code == 2
+        assert "section" in res.output
+
+    def test_malformed_value_is_input_error(self, runner, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[run]\nmodel = 1A\nxi = abc\n")
+        res = run(runner, "errorbound", "--config", str(cfg))
+        assert res.exit_code == 2
+        assert "xi" in res.output
+
+
+class TestTableContract:
+    """Table names, column order and row order of the table commands."""
+
+    @staticmethod
+    def records(output):
+        return [json.loads(ln) for ln in output.strip().splitlines()]
+
+    def test_supgain(self, runner):
+        columns = ["sup_gain", "slack", "p_min_eigenvalue", "flags", "note"]
+        res = run(runner, "supgain", "--model", "1C", "--format", "jsonl")
+        records = self.records(res.output)
+        assert {r["table"] for r in records} == {"supgain:1C"}
+        assert [r["row"] for r in records] == [
+            "theorem1", "corollary2", "widrow_lambda_max", "widrow_trace",
+            "zhu_criterion"]
+        assert all(sorted(r["cells"]) == sorted(columns) for r in records)
+        csv = run(runner, "supgain", "--model", "1C", "--format", "csv")
+        assert csv.output.splitlines()[0] == "row," + ",".join(columns)
+
+    def test_errorbound(self, runner):
+        res = run(runner, "errorbound", "--model", "1C", "--format", "jsonl")
+        records = self.records(res.output)
+        assert {r["table"] for r in records} == {"errorbound:1C"}
+        assert [r["row"] for r in records] == [
+            "gain", "chi_theorem1", "chi_corollary2", "theorem1",
+            "corollary2", "zhu_criterion", "flags"]
+        assert all(list(r["cells"]) == ["value"] for r in records)
+
+
+class TestNonConvergence:
+    """Eigensolver non-convergence ends in exit code 3, not a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ("supgain", "--model", "1A"),
+        ("errorbound", "--model", "1C"),
+        ("simulate", "--model", "1D", "--gain", "0.1", "--iters", "5",
+         "--reps", "2"),
+    ])
+    def test_exit_code_3(self, runner, monkeypatch, args):
+        monkeypatch.setattr("lmsbound.linalg._JACOBI_MAX_SWEEPS", 0)
+        res = run(runner, *args)
+        assert res.exit_code == 3
+        assert "did not converge" in res.output
+
 
 class TestIngestCheck:
     def make_data(self, tmp_path):
@@ -352,6 +432,14 @@ class TestReport:
         assert t4["zhu_criterion"][3] == "Inf"
         assert "simulation" not in t4
         assert "tolerance-limited" in t4["flags"][3]
+
+    def test_unwritable_out_dir_is_input_error(self, runner, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = run(runner, "report", "--out-dir", str(blocker / "reports"),
+                  "--skip-simulation")
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ")
 
     def test_version(self, runner):
         res = run(runner, "--version")
