@@ -13,14 +13,14 @@ __version__ = "0.1.0"
 from .bounds import (CERTIFICATE_KINDS, ChiSearchResult, CriterionKind,
                      GainTooLarge, InvalidRate, SupGainResult,
                      asymptotic_bound, finite_k_bound, initial_v,
-                     initial_error_second_moment, max_chi, max_chi_search,
+                     initial_error_second_moment, max_chi_search,
                      pencil_max_eigenvalue, protocol_gain, sup_gain)
 from .ingest import (ColumnOutOfRange, ParseError, RaggedRow, RawTable,
                      RegressorRecipe, build_design, parse_table,
                      parse_table_text, write_canonical_csv)
 from .lmi import (FeasibilityOutcome, GainCertificate, LmiProblem,
                   NonConvergence, check_certificate, drift_matrix,
-                  mean_square_map_matrix, mean_square_radius,
+                  mean_square_map_matrix, operator_matrices,
                   solve_feasibility, sym_basis)
 from .moments import (DataMatrix, DimMismatch, EmptyData, GaussianSpec,
                       InvalidCovariance, MomentModel, UnsupportedOperator,

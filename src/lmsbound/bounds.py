@@ -4,8 +4,12 @@ Five criteria are covered.  Two are certificate producing:
 
 * ``theorem1``   - the drift inequality over free P > 0 (LMI path);
 * ``corollary2`` - the same inequality restricted to P = I, which reduces to
-  the matrix pencil test lambda_max(a*M4 - 2*S) < 0 and is decided by
-  bisection on that monotone eigenvalue, no SDP involved.
+  the matrix pencil test lambda_max(a*M4 - 2*S) < 0.
+
+Both sups are generalized eigenvalue problems of the mean-square operator
+(``lmi.operator_matrices``) and the theorem1 rate at a fixed gain is read
+off the spectral radius of the mean-square map, so every certificate number
+comes from one small LAPACK eigendecomposition, with no search.
 
 Three are classical literature rules computed in closed form from S alone:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
@@ -28,14 +32,14 @@ import numpy as np
 
 from . import linalg
 from .lmi import (GainCertificate, LmiProblem, NonConvergence,
-                  RELAXED_TOL_DEFAULT, STRICT_MARGIN, solve_feasibility)
+                  RELAXED_TOL_DEFAULT, STRICT_MARGIN, operator_matrices,
+                  solve_feasibility)
 from .moments import MomentModel
 
-TOL_A_DEFAULT = 1e-5
-TOL_CHI_DEFAULT = 1e-9
+TOL_A = 1e-5     # sup certificates are built at the gain sup*(1 - TOL_A)
+TOL_CHI = 1e-9   # their rate; with STRICT_MARGIN, the theorem1 rate back-off
 XI_DEFAULT = 1e-4
 _SINGULAR_TOL = 1e-9
-_MAX_DOUBLINGS = 60
 
 
 class GainTooLarge(ValueError):
@@ -69,7 +73,6 @@ CERTIFICATE_KINDS = (CriterionKind.THEOREM1, CriterionKind.COROLLARY2)
 class SupGainResult:
     kind: CriterionKind
     sup_gain: float
-    bisection_width: float = 0.0
     certificate: Optional[GainCertificate] = None
     inapplicable: bool = False
     tolerance_limited: bool = False
@@ -87,8 +90,7 @@ class ChiSearchResult:
 
 def pencil_max_eigenvalue(model: MomentModel, gain: float) -> float:
     """lambda_max(a*M4 - 2*S): negative iff P = I certifies gain a (some chi > 0)."""
-    values, _ = linalg.eigh(gain * model.m4 - 2.0 * model.second_moment)
-    return float(values[-1])
+    return float(np.linalg.eigvalsh(gain * model.m4 - 2.0 * model.second_moment)[-1])
 
 
 def _second_moment_spectrum(model: MomentModel) -> tuple[float, float, float]:
@@ -109,36 +111,26 @@ def protocol_gain(sup_gain: float, xi: float = XI_DEFAULT) -> float:
     return a
 
 
-def _bisect_sup(feasible, hi0: float, tol_a: float) -> tuple[float, float]:
-    """Generic sup-gain bisection: feasible(a) must be monotone (up to tol)."""
-    if not feasible(tol_a):
-        return 0.0, 0.0
-    lo, hi = tol_a, hi0
-    doublings = 0
-    while feasible(hi):
-        lo, hi = hi, hi * 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise NonConvergence("sup-gain bracket expansion did not terminate")
-    while hi - lo > tol_a:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0, hi - lo
+def _range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Eigenpairs of a PSD matrix on its range, and whether the matrix is singular."""
+    values, vectors = np.linalg.eigh(mat)
+    keep = values > _SINGULAR_TOL * max(float(values[-1]), 0.0)
+    return values[keep], vectors[:, keep], not keep.all()
 
 
-def sup_gain(model: MomentModel, kind: CriterionKind, tol_a: float = TOL_A_DEFAULT,
-             mode: str = "relaxed",
+def sup_gain(model: MomentModel, kind: CriterionKind, mode: str = "relaxed",
              relaxed_tol: float = RELAXED_TOL_DEFAULT) -> SupGainResult:
     """Supremum gain admitted by a criterion, with certificate where one exists.
 
-    ``mode`` applies to the certificate-producing criteria: "strict" demands
-    a strictly negative slack, "relaxed" (default) additionally accepts
-    slack within ``relaxed_tol``, which is how degenerate laws (singular
-    second moment) get their tolerance-limited boundary reproduced instead
-    of a flat infeasibility report.
+    The certificate criteria are generalized eigenvalue problems, read off
+    in closed form on the range of the right-hand side:
+    theorem1 = 1/lambda_max(W^T F^ W) with W = V Lambda^{-1/2} from L^,
+    corollary2 = 2/lambda_max(W^T M4 W) with W from S.  ``mode`` applies to
+    these: "strict" reports a singular second moment (which leaves a
+    frozen direction and no strictly feasible point) as strictly
+    infeasible; "relaxed" (default) reads the sup on the range and certifies
+    it with slack within ``relaxed_tol``, flagged tolerance-limited.  The
+    certificate is built at the gain sup*(1 - TOL_A).
     """
     lam_min, lam_max, trace = _second_moment_spectrum(model)
 
@@ -157,58 +149,50 @@ def sup_gain(model: MomentModel, kind: CriterionKind, tol_a: float = TOL_A_DEFAU
                 note="second moment is singular; criterion gives a zero gain")
         return SupGainResult(kind, 2.0 * lam_min / lam_max**2)
 
-    hi0 = 2.0 / trace if trace > 0 else 1.0
-
     if kind is CriterionKind.COROLLARY2:
-        threshold = -STRICT_MARGIN if mode == "strict" else relaxed_tol
-
-        def feasible(a: float) -> bool:
-            return pencil_max_eigenvalue(model, a) <= threshold
-
+        scale, lhs, rhs = 2.0, model.m4, model.second_moment
     elif kind is CriterionKind.THEOREM1:
-        if not model.supports_general_p:
-            # Raises UnsupportedOperator with the model's explanation.
-            model.fourth_moment(np.ones((model.dim, model.dim)))
-
-        def feasible(a: float) -> bool:
-            problem = LmiProblem(model, a, TOL_CHI_DEFAULT, mode=mode,
-                                 relaxed_tol=relaxed_tol)
-            return solve_feasibility(problem).feasible
+        # Raises UnsupportedOperator for printed-moments models.
+        scale, (rhs, lhs) = 1.0, operator_matrices(model)
     else:
         raise ValueError(f"unhandled criterion {kind}")
 
-    sup, width = _bisect_sup(feasible, hi0, tol_a)
-    if sup == 0.0:
+    values, vectors, singular = _range(rhs)
+    if values.size == 0 or (singular and mode == "strict"):
         return SupGainResult(
             kind, 0.0, strictly_infeasible=True,
             note="no feasible gain: the drift inequality has no strictly "
                  "feasible point (singular second moment)" if mode == "strict"
             else "no feasible gain found")
+    w = vectors / np.sqrt(values)
+    sup = scale / float(np.linalg.eigvalsh(w.T @ lhs @ w)[-1])
 
-    a_verify = sup - width
+    a_cert = sup * (1.0 - TOL_A)
     if kind is CriterionKind.COROLLARY2:
-        phi = pencil_max_eigenvalue(model, a_verify)
-        chi_v = max(-phi / 2.0, TOL_CHI_DEFAULT)
-        problem = LmiProblem(model, a_verify, chi_v, mode=mode,
+        chi = max(-pencil_max_eigenvalue(model, a_cert) / 2.0, TOL_CHI)
+        problem = LmiProblem(model, a_cert, chi, mode=mode,
                              relaxed_tol=relaxed_tol, p_restriction="identity")
     else:
-        problem = LmiProblem(model, a_verify, TOL_CHI_DEFAULT, mode=mode,
+        problem = LmiProblem(model, a_cert, TOL_CHI, mode=mode,
                              relaxed_tol=relaxed_tol)
     outcome = solve_feasibility(problem)
-    return SupGainResult(
-        kind, sup, bisection_width=width, certificate=outcome.certificate,
-        tolerance_limited=outcome.tolerance_limited)
+    return SupGainResult(kind, sup, certificate=outcome.certificate,
+                         tolerance_limited=outcome.tolerance_limited)
 
 
 def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
-                   tol_chi: float = TOL_CHI_DEFAULT, mode: str = "relaxed",
+                   mode: str = "relaxed",
                    relaxed_tol: float = RELAXED_TOL_DEFAULT) -> ChiSearchResult:
     """Largest certified rate chi at a fixed gain, with the certifying P.
 
     For corollary2 the rate is the closed-form -lambda_max(a*M4 - 2*S),
     clipped at zero under the relaxed mode (degenerate laws certify only a
-    vanishing rate, flagged tolerance-limited).  For theorem1 the rate is
-    found by bisection over chi with a feasibility probe per step.
+    vanishing rate, flagged tolerance-limited).  For theorem1 it is
+    (1 - rho(T^))/a on the range of L^, backed off by TOL_CHI +
+    STRICT_MARGIN so that the certificate clears the strict slack test;
+    a singular second moment has no strictly feasible rate, and the relaxed
+    mode caps its rate just below ``relaxed_tol``, the slack it leaves on
+    the frozen directions.
     """
     if gain <= 0:
         raise GainTooLarge(f"gain must be positive, got {gain}")
@@ -233,52 +217,30 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     if kind is not CriterionKind.THEOREM1:
         raise ValueError(f"max chi is defined for certificate criteria, not {kind}")
 
-    def probe(chi: float, probe_mode: str):
-        problem = LmiProblem(model, gain, chi, mode=probe_mode,
-                             relaxed_tol=relaxed_tol)
-        return solve_feasibility(problem)
-
-    # Strict probes first so non-degenerate laws get the exact maximal rate;
-    # the relaxed tolerance only enters when no strictly feasible rate
-    # exists at all (frozen directions of degenerate laws).
-    lo = tol_chi
-    phase = "strict"
-    outcome_lo = probe(lo, phase)
-    if not outcome_lo.feasible:
-        if mode == "relaxed":
-            phase = "relaxed"
-            outcome_lo = probe(lo, phase)
-        if not outcome_lo.feasible:
-            raise GainTooLarge(
-                f"gain {gain} is infeasible for the drift inequality even at "
-                f"vanishing rate (slack {outcome_lo.best_slack:.3g})")
-    hi = min(1.0 / gain, (2.0 / gain) * (1.0 - 1e-12))
-    doublings = 0
-    while probe(hi, phase).feasible:
-        lo_next = hi
-        hi = min(hi * 2.0, (2.0 / gain) * (1.0 - 1e-12))
-        if hi <= lo_next or doublings > _MAX_DOUBLINGS:
-            raise NonConvergence("rate bracket expansion did not terminate")
-        outcome_lo, lo = probe(lo_next, phase), lo_next
-        doublings += 1
-    best = outcome_lo
-    while hi - lo > tol_chi:
-        mid = (lo + hi) / 2.0
-        outcome = probe(mid, phase)
-        if outcome.feasible:
-            lo, best = mid, outcome
-        else:
-            hi = mid
-    cert = best.certificate
-    return ChiSearchResult(lo, cert.p_matrix, cert,
+    l_hat, f_hat = operator_matrices(model)
+    _, vectors, singular = _range(l_hat)
+    if singular and mode == "strict":
+        raise GainTooLarge(
+            f"gain {gain} has no strictly feasible rate: the second moment "
+            f"is singular")
+    t_hat = np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
+    rho = float(np.linalg.eigvalsh(vectors.T @ t_hat @ vectors)[-1])
+    chi = (1.0 - rho) / gain - (TOL_CHI + STRICT_MARGIN)
+    if singular:
+        chi = min(chi, relaxed_tol * (1.0 - 1e-6))
+    if chi <= 0:
+        raise GainTooLarge(
+            f"gain {gain} is infeasible for the drift inequality even at "
+            f"vanishing rate (spectral radius {rho:.6g})")
+    outcome = solve_feasibility(LmiProblem(model, gain, chi, mode=mode,
+                                           relaxed_tol=relaxed_tol))
+    cert = outcome.certificate
+    if cert is None:
+        raise NonConvergence(
+            f"no certificate at gain {gain} and rate {chi:.6g} "
+            f"(slack {outcome.best_slack:.3g})")
+    return ChiSearchResult(chi, cert.p_matrix, cert,
                            tolerance_limited=cert.tolerance_limited)
-
-
-def max_chi(model: MomentModel, kind: CriterionKind, gain: float,
-            tol_chi: float = TOL_CHI_DEFAULT, mode: str = "relaxed") -> tuple[float, np.ndarray]:
-    """(chi, P) pair from ``max_chi_search``; see that function for semantics."""
-    res = max_chi_search(model, kind, gain, tol_chi=tol_chi, mode=mode)
-    return res.chi, res.p_matrix
 
 
 def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],

