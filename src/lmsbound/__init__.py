@@ -30,8 +30,8 @@ from .presets import (BENCHMARK_NAMES, DEFAULT_MASTER_SEED, GAUSSIAN_CASES,
                       REED_FOURTH_MOMENT, REED_SECOND_MOMENT, benchmark_model)
 from .report import (Table, build_errorbound_table, build_supgain_table,
                      classification_annotations, supgain_results,
-                     write_benchmark_reports)
-from .simulate import (SimConfig, SimResult, batch_ls, classify,
+                     working_gain_simulations, write_benchmark_reports)
+from .simulate import (SimBatch, SimConfig, SimResult, batch_ls, classify,
                        recursive_ls, replay_lms, run_error_recursion,
                        run_lms, sampling_factor)
 

@@ -203,6 +203,69 @@ def build_supgain_table(
 _CLASS_LETTER = {"bounded": "C", "diverged": "N", "indeterminate": "?"}
 
 
+def working_gain_simulations(
+        results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
+        names: Sequence[str] = presets.BENCHMARK_NAMES,
+        criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
+        models: Optional[dict[str, MomentModel]] = None,
+        xi: float = presets.XI,
+        sigma_eps: float = presets.SIGMA_EPS,
+        theta_star: Optional[np.ndarray] = None,
+        init: Union[str, np.ndarray, None] = None,
+        k_max: int = presets.K_MAX,
+        replications: int = presets.REPLICATIONS,
+        master_seed: int = presets.DEFAULT_MASTER_SEED,
+        ) -> dict[tuple[str, CriterionKind], Optional[SimResult]]:
+    """Monte Carlo run per (benchmark, criterion) at the criterion's working gain.
+
+    Each benchmark's distinct working gains run as one batch on shared
+    streams.  None marks a criterion with no positive working gain
+    (inapplicable, strictly infeasible, or backed off to zero); skipped
+    criteria and unsamplable models get no entry.
+    """
+    out: dict[tuple[str, CriterionKind], Optional[SimResult]] = {}
+    for name in names:
+        model = (models or {}).get(name) or presets.benchmark_model(name)
+        if model.sampling_cov is None:
+            continue
+        gains: dict[CriterionKind, float] = {}
+        for kind in criteria:
+            result = results.get((name, kind))
+            if result is None:
+                continue
+            out[(name, kind)] = None
+            if result.inapplicable or result.strictly_infeasible:
+                continue
+            try:
+                gains[kind] = protocol_gain(result.sup_gain, xi)
+            except GainTooLarge:
+                continue
+        # Criteria often share a working gain; each distinct one runs once.
+        distinct: dict[float, float] = {}
+        for gain in gains.values():
+            distinct.setdefault(round(gain, 12), gain)
+        if not distinct:
+            continue
+        star = (presets.protocol_theta_star(model.dim)
+                if theta_star is None else theta_star)
+        start = presets.protocol_init(master_seed, model.dim) if init is None else init
+        batch_gains = list(distinct.values())
+        batch = run_lms(SimConfig(
+            model=model, theta_star=star, gain=batch_gains[0],
+            sigma_eps=sigma_eps, k_max=k_max, replications=replications,
+            master_seed=master_seed, init=start), gains=batch_gains)
+        by_gain = dict(zip(distinct, batch))
+        for kind, gain in gains.items():
+            out[(name, kind)] = by_gain[round(gain, 12)]
+    return out
+
+
+def _letters(simulations: dict[tuple[str, CriterionKind], Optional[SimResult]]
+             ) -> dict[tuple[str, CriterionKind], str]:
+    return {key: "-" if sim is None else _CLASS_LETTER[sim.classification]
+            for key, sim in simulations.items()}
+
+
 def classification_annotations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
         names: Sequence[str] = presets.BENCHMARK_NAMES,
@@ -219,40 +282,13 @@ def classification_annotations(
     """Monte Carlo verdict letter per (benchmark, criterion) working gain.
 
     C: replication-averaged terminal error below the bounded threshold;
-    N: above the diverged threshold; -: criterion not applicable (zero
-    gain or unsamplable model); ?: in between.  Simulations are memoized
-    on (benchmark, gain) since criteria frequently share a working gain.
+    N: above the diverged threshold; -: no positive working gain; ?: in
+    between.  Unsamplable models get no entry.  The simulations are those
+    of ``working_gain_simulations``: one batched run per benchmark.
     """
-    out: dict[tuple[str, CriterionKind], str] = {}
-    memo: dict[tuple[str, float], SimResult] = {}
-    for name in names:
-        model = (models or {}).get(name) or presets.benchmark_model(name)
-        if model.sampling_cov is None:
-            continue
-        star = (presets.protocol_theta_star(model.dim)
-                if theta_star is None else theta_star)
-        start = presets.protocol_init(master_seed, model.dim) if init is None else init
-        for kind in criteria:
-            result = results.get((name, kind))
-            if result is None:
-                continue
-            if result.inapplicable or result.strictly_infeasible:
-                out[(name, kind)] = "-"
-                continue
-            try:
-                gain = protocol_gain(result.sup_gain, xi)
-            except GainTooLarge:
-                out[(name, kind)] = "-"
-                continue
-            key = (name, round(gain, 12))
-            if key not in memo:
-                memo[key] = run_lms(SimConfig(
-                    model=model, theta_star=star, gain=gain,
-                    sigma_eps=sigma_eps, k_max=k_max,
-                    replications=replications, master_seed=master_seed,
-                    init=start))
-            out[(name, kind)] = _CLASS_LETTER[memo[key].classification]
-    return out
+    return _letters(working_gain_simulations(
+        results, names, criteria, models, xi, sigma_eps, theta_star, init,
+        k_max, replications, master_seed))
 
 
 def build_errorbound_table(
@@ -267,14 +303,17 @@ def build_errorbound_table(
         master_seed: int = presets.DEFAULT_MASTER_SEED,
         simulate: bool = True,
         models: Optional[dict[str, MomentModel]] = None,
-        gain: Optional[float] = None) -> Table:
+        gain: Optional[float] = None,
+        simulations: Optional[dict[str, SimResult]] = None) -> Table:
     """Error-bound table at the identity-certificate working gain per benchmark.
 
     Rows: the working gain, the maximal certified rates (free-matrix and
     identity certificates), the three asymptotic bounds, the Monte Carlo
     terminal error, and a flag row marking tolerance-limited certificates.
     A given ``gain`` replaces the working gain derived from the corollary2
-    sup, which is then not searched.
+    sup, which is then not searched.  ``simulations`` maps a benchmark to a
+    run already made with this protocol; it fills the simulation row when
+    its gain is the working gain.
     """
     columns: list[dict[str, Cell]] = []
     for name in names:
@@ -308,13 +347,15 @@ def build_errorbound_table(
             CriterionKind.ZHU, a, None, None, second, sigma_eps))
 
         if simulate and model.sampling_cov is not None:
-            sim = run_lms(SimConfig(
-                model=model, gain=a, sigma_eps=sigma_eps, k_max=k_max,
-                replications=replications, master_seed=master_seed,
-                theta_star=(presets.protocol_theta_star(model.dim)
-                            if theta_star is None else theta_star),
-                init=(presets.protocol_init(master_seed, model.dim)
-                      if init is None else init)))
+            sim = (simulations or {}).get(name)
+            if sim is None or sim.gain != a:
+                sim = run_lms(SimConfig(
+                    model=model, gain=a, sigma_eps=sigma_eps, k_max=k_max,
+                    replications=replications, master_seed=master_seed,
+                    theta_star=(presets.protocol_theta_star(model.dim)
+                                if theta_star is None else theta_star),
+                    init=(presets.protocol_init(master_seed, model.dim)
+                          if init is None else init)))
             col["simulation"] = Cell(value=sim.terminal_mse)
         col["flags"] = Cell(text="; ".join(flags))
         columns.append(col)
@@ -339,14 +380,20 @@ def write_benchmark_reports(out_dir: Union[str, Path],
     out_dir.mkdir(parents=True, exist_ok=True)
     results = supgain_results(mode=mode)
     annotations = None
+    corollary2_runs: dict[str, SimResult] = {}
     if simulate:
-        annotations = classification_annotations(
+        simulations = working_gain_simulations(
             results, master_seed=master_seed, k_max=k_max,
             replications=replications)
+        annotations = _letters(simulations)
+        corollary2_runs = {name: sim for (name, kind), sim in simulations.items()
+                           if kind is CriterionKind.COROLLARY2 and sim is not None}
     table3 = build_supgain_table(results=results, annotations=annotations)
+    # The error-bound working gain is the corollary2 one, already simulated.
     table4 = build_errorbound_table(
         mode=mode, master_seed=master_seed, k_max=k_max,
-        replications=replications, simulate=simulate)
+        replications=replications, simulate=simulate,
+        simulations=corollary2_runs)
     path3 = out_dir / "table3.csv"
     path4 = out_dir / "table4.csv"
     table3.write(path3)

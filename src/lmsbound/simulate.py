@@ -8,22 +8,35 @@ Replication ``r`` draws from a counter-based Philox generator seeded with
 reproduces the same numbers.  Per replication the draw order is fixed: the
 initial estimate (m standard normals, when the init law is random), then per
 step m standard normals for the regressor and one for the measurement noise.
-Replications are reduced in index order; the engine is single-process and
-fully deterministic.
+Each run draws chunks of steps in place into one reused (R, chunk, m+1)
+buffer.  Replications are reduced in index order; the engine is
+single-process and fully deterministic.
+
+Shared streams across gains
+---------------------------
+Since the streams do not depend on the gain, ``run_lms(config, gains=...)``
+steps any number of gains over one draw of them: the state is a (G, R, m)
+array, the regressor and noise of a step are computed once for every gain,
+and each gain's result is bit-identical to running that gain alone.  A
+replication whose squared error norm exceeds 1e12 is frozen (short-
+circuited) to avoid overflow, keeping that first value beyond the guard
+(1e18 if it overflowed); the freeze threshold sits far above the 1e8
+divergence classification line so no borderline run is misclassified.  The
+freeze bookkeeping runs only on steps where some replication is frozen or
+freezes.  A gain whose replications are all frozen leaves the batch on that
+step, its later checkpoints take its frozen mean, and drawing stops once no
+gain is left.
 
 Recursions
 ----------
 ``run_lms`` propagates the estimate theta_k with synthesized measurements
 z_k = h_k . theta* + eps_k;  ``run_error_recursion`` propagates the error
 e_k = theta_k - theta* directly.  The two recursions are algebraically
-identical and are implemented as separate loops on purpose, as a cross-check
-of the stream plumbing: with theta* = 0 they perform the same floating-point
-operations and agree bit for bit; with a nonzero theta* they agree to
-rounding error.
+identical; they share the stepping kernel and keep separate update lines on
+purpose, as a cross-check of the stream plumbing: with theta* = 0 they
+perform the same floating-point operations and agree bit for bit; with a
+nonzero theta* they agree to rounding error.
 
-A replication whose squared error norm exceeds 1e12 is frozen (short-
-circuited) to avoid overflow; the freeze threshold sits far above the 1e8
-divergence classification line so no borderline run is misclassified.
 Regressors are sampled through the Cholesky factor when the covariance is
 positive definite and through the eigendecomposition otherwise, which
 handles exactly singular covariances without any jitter.
@@ -31,8 +44,8 @@ handles exactly singular covariances without any jitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -149,12 +162,19 @@ def _initial_estimates(config: SimConfig,
     return np.tile(config.init, (config.replications, 1))
 
 
-def _draw_chunk(gens: list[np.random.Generator], length: int, m: int) -> np.ndarray:
-    """(R, length, m+1) standard normals; last column is the noise draw."""
-    return np.stack([g.standard_normal((length, m + 1)) for g in gens])
+def _draw_chunk(gens: list[np.random.Generator], buf: np.ndarray,
+                length: int) -> np.ndarray:
+    """Fill ``buf[r, :length]`` with replication r's next standard normals.
+
+    ``buf`` has shape (R, chunk, m+1); the last column is the noise draw.
+    Each stream is consumed exactly as by drawing a fresh (length, m+1) array.
+    """
+    for r, g in enumerate(gens):
+        g.standard_normal(out=buf[r, :length])
+    return buf
 
 
-def _finalize(config: SimConfig, sq: np.ndarray, active: np.ndarray,
+def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
               checkpoint_mse: dict[int, float]) -> SimResult:
     per_rep = sq.copy()
     mse = float(np.mean(per_rep))
@@ -164,7 +184,7 @@ def _finalize(config: SimConfig, sq: np.ndarray, active: np.ndarray,
         terminal_se=se,
         classification=classify(mse),
         per_replication=per_rep,
-        diverged_count=int(np.sum(~active.astype(bool))),
+        diverged_count=int(np.sum(~live)),
         checkpoint_mse=checkpoint_mse,
         master_seed=config.master_seed,
         k_max=config.k_max,
@@ -173,80 +193,132 @@ def _finalize(config: SimConfig, sq: np.ndarray, active: np.ndarray,
     )
 
 
-def run_lms(config: SimConfig) -> SimResult:
-    """Monte Carlo LMS runs propagating the estimate against synthesized data."""
-    m = config.model.dim
-    factor = sampling_factor(config.model.sampling_cov)
+class SimBatch(list):
+    """One ``SimResult`` per gain of a batched run, in the order of the gains."""
+
+    @property
+    def diverged_count(self) -> int:
+        """Diverged replications summed over every gain of the batch."""
+        return sum(result.diverged_count for result in self)
+
+
+def _per_component(values: np.ndarray, m: int) -> np.ndarray:
+    """(G, R) values repeated m times along a new last axis.
+
+    Multiplying the result by an (R, m) array runs as one loop over R*m
+    elements, where broadcasting ``values[..., None]`` loops over m per row.
+    """
+    return np.repeat(values, m, axis=-1).reshape(*values.shape, m)
+
+
+def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
+              origin: np.ndarray,
+              step: Callable[..., tuple[np.ndarray, np.ndarray]]
+              ) -> Union[SimResult, SimBatch]:
+    """Step every gain over one draw of the replication streams.
+
+    The state of each gain starts at theta_0 - ``origin``.
+    ``step(state, h, eps, scale)`` updates the (G, R, m) state with the
+    (R, m) regressors h and the (R,) noise draws eps, multiplying each
+    (G, R) residual by ``scale`` (the gain, times 0 on frozen
+    replications), and returns the new state and its squared error norms.
+    ``gains=None`` runs ``config.gain`` alone and returns its ``SimResult``.
+    """
+    configs = ([config] if gains is None
+               else [replace(config, gain=float(g)) for g in gains])
+    m, sigma, k_max = config.model.dim, config.sigma_eps, config.k_max
+    factor_t = sampling_factor(config.model.sampling_cov).T
     gens = _make_generators(config.master_seed, config.replications)
-    theta = _initial_estimates(config, gens)
-    theta_star = config.theta_star
-    a, sigma = config.gain, config.sigma_eps
+    theta0 = _initial_estimates(config, gens)
+    err0 = theta0 - config.theta_star
 
-    err = theta - theta_star
-    sq = np.einsum("ri,ri->r", err, err)
-    active = (sq <= DIVERGENCE_GUARD).astype(float)
-    checkpoint_mse: dict[int, float] = {}
+    state = np.repeat((theta0 - origin)[None], len(configs), axis=0)
+    sq = np.repeat(np.einsum("ri,ri->r", err0, err0)[None], len(configs), axis=0)
+    live = sq <= DIVERGENCE_GUARD
+    gain = np.array([c.gain for c in configs])[:, None]
+    scale = gain * live
+    order = np.arange(len(configs))  # batch index of each gain still in the state
+    finals: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(configs)
+    checkpoints = set(config.checkpoints)
+    checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
+    buf = np.empty((config.replications, min(_CHUNK_STEPS, k_max), m + 1))
 
-    step = 0
-    while step < config.k_max:
-        length = min(_CHUNK_STEPS, config.k_max - step)
-        draws = _draw_chunk(gens, length, m)
+    step_no = 0
+    while step_no < k_max and len(order):
+        length = min(buf.shape[1], k_max - step_no)
+        draws = _draw_chunk(gens, buf, length)
         for i in range(length):
-            h = draws[:, i, :m] @ factor.T
-            eps = sigma * draws[:, i, m]
-            z = np.einsum("ri,i->r", h, theta_star) + eps
-            resid = np.einsum("ri,ri->r", h, theta) - z
-            theta = theta - (a * resid * active)[:, None] * h
-            err = theta - theta_star
-            sq_new = np.einsum("ri,ri->r", err, err)
-            ok = np.isfinite(sq_new) & (sq_new <= DIVERGENCE_GUARD)
-            was_active = active.astype(bool)
-            frozen = np.where(np.isfinite(sq_new), np.maximum(sq_new, sq), 1e18)
-            sq = np.where(was_active & ok, sq_new,
-                          np.where(was_active, frozen, sq))
-            active = active * ok.astype(float)
-            step += 1
-            if step in config.checkpoints:
-                checkpoint_mse[step] = float(np.mean(sq))
-    return _finalize(config, sq, active, checkpoint_mse)
+            h = draws[:, i, :m] @ factor_t
+            state, sq_new = step(state, h, sigma * draws[:, i, m], scale)
+            step_no += 1
+            ok = sq_new <= DIVERGENCE_GUARD
+            # A frozen row no longer moves and never reads ok again, so
+            # ok.all() means that every row is live and stays live.
+            if ok.all():
+                sq = sq_new
+            else:
+                np.copyto(sq, sq_new, where=live)
+                np.copyto(sq, 1e18, where=~np.isfinite(sq))
+                live &= ok
+                keep = live.any(axis=1)
+                if not keep.all():
+                    for j in np.flatnonzero(~keep):
+                        finals[order[j]] = sq[j], live[j]
+                    state, sq, live = state[keep], sq[keep], live[keep]
+                    gain, order = gain[keep], order[keep]
+                scale = gain * live
+            if step_no in checkpoints:
+                for j, index in enumerate(order):
+                    checkpoint_mse[index][step_no] = float(np.mean(sq[j]))
+            if not len(order):
+                break
+
+    for j, index in enumerate(order):
+        finals[index] = sq[j], live[j]
+    results = SimBatch()
+    for index, cfg in enumerate(configs):
+        row, row_live = finals[index]
+        frozen_mse = float(np.mean(row))
+        results.append(_finalize(cfg, row, row_live, {
+            k: checkpoint_mse[index].get(k, frozen_mse) for k in config.checkpoints}))
+    return results[0] if gains is None else results
 
 
-def run_error_recursion(config: SimConfig) -> SimResult:
+def run_lms(config: SimConfig,
+            gains: Optional[Sequence[float]] = None) -> Union[SimResult, SimBatch]:
+    """Monte Carlo LMS runs propagating the estimate against synthesized data.
+
+    With ``gains``, every gain runs on the same streams in one batch and one
+    ``SimResult`` per gain comes back (``config.gain`` is then unused); each
+    is bit-identical to a run of that gain alone.
+    """
+    m, theta_star = config.model.dim, config.theta_star
+    star_rows = np.tile(theta_star, (config.replications, 1))
+
+    def step(theta, h, eps, scale):
+        z = np.einsum("ri,i->r", h, theta_star) + eps
+        resid = np.einsum("gri,ri->gr", theta, h) - z
+        theta = theta - _per_component(scale * resid, m) * h
+        err = theta - star_rows
+        return theta, np.einsum("gri,gri->gr", err, err)
+    return _simulate(config, gains, np.zeros(m), step)
+
+
+def run_error_recursion(config: SimConfig,
+                        gains: Optional[Sequence[float]] = None
+                        ) -> Union[SimResult, SimBatch]:
     """Monte Carlo runs propagating the estimation error directly.
 
     Consumes streams identical to ``run_lms`` and must agree with it:
     bit for bit when theta* = 0, to rounding error otherwise.
     """
     m = config.model.dim
-    factor = sampling_factor(config.model.sampling_cov)
-    gens = _make_generators(config.master_seed, config.replications)
-    theta_err = _initial_estimates(config, gens) - config.theta_star
-    a, sigma = config.gain, config.sigma_eps
 
-    sq = np.einsum("ri,ri->r", theta_err, theta_err)
-    active = (sq <= DIVERGENCE_GUARD).astype(float)
-    checkpoint_mse: dict[int, float] = {}
-
-    step = 0
-    while step < config.k_max:
-        length = min(_CHUNK_STEPS, config.k_max - step)
-        draws = _draw_chunk(gens, length, m)
-        for i in range(length):
-            h = draws[:, i, :m] @ factor.T
-            eps = sigma * draws[:, i, m]
-            resid = np.einsum("ri,ri->r", h, theta_err) - eps
-            theta_err = theta_err - (a * resid * active)[:, None] * h
-            sq_new = np.einsum("ri,ri->r", theta_err, theta_err)
-            ok = np.isfinite(sq_new) & (sq_new <= DIVERGENCE_GUARD)
-            was_active = active.astype(bool)
-            frozen = np.where(np.isfinite(sq_new), np.maximum(sq_new, sq), 1e18)
-            sq = np.where(was_active & ok, sq_new,
-                          np.where(was_active, frozen, sq))
-            active = active * ok.astype(float)
-            step += 1
-            if step in config.checkpoints:
-                checkpoint_mse[step] = float(np.mean(sq))
-    return _finalize(config, sq, active, checkpoint_mse)
+    def step(theta_err, h, eps, scale):
+        resid = np.einsum("gri,ri->gr", theta_err, h) - eps
+        theta_err = theta_err - _per_component(scale * resid, m) * h
+        return theta_err, np.einsum("gri,gri->gr", theta_err, theta_err)
+    return _simulate(config, gains, config.theta_star, step)
 
 
 def replay_lms(data: DataMatrix, gain: float,

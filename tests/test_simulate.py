@@ -1,12 +1,17 @@
 """Tests for the Monte Carlo LMS engine and least-squares baselines."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lmsbound import linalg, presets
-from lmsbound.moments import DataMatrix, explicit_moment_model, gaussian_moment_model
+from lmsbound import linalg, presets, simulate
+from lmsbound.moments import (DataMatrix, GaussianSpec, explicit_moment_model,
+                              gaussian_moment_model)
 from lmsbound.simulate import (
+    DIVERGENCE_GUARD,
     RankDeficient,
+    SimBatch,
     SimConfig,
     batch_ls,
     classify,
@@ -139,6 +144,131 @@ class TestErrorRecursionEquivalence:
         b = run_error_recursion(config(k_max=300))
         assert np.allclose(a.per_replication, b.per_replication,
                            rtol=1e-10, atol=1e-12)
+
+
+def reference_run_lms(config):
+    """The single-gain LMS loop as it stood before gains were batched.
+
+    Kept verbatim (list-and-stack draws, freeze bookkeeping on every step)
+    as the reference the batched kernel must match bit for bit.  Also
+    returns the step on which the last replication froze (None if never).
+    """
+    m = config.model.dim
+    factor = simulate.sampling_factor(config.model.sampling_cov)
+    gens = simulate._make_generators(config.master_seed, config.replications)
+    theta = simulate._initial_estimates(config, gens)
+    theta_star = config.theta_star
+    a, sigma = config.gain, config.sigma_eps
+
+    err = theta - theta_star
+    sq = np.einsum("ri,ri->r", err, err)
+    active = (sq <= DIVERGENCE_GUARD).astype(float)
+    checkpoint_mse = {}
+    settled_at = None
+
+    step = 0
+    while step < config.k_max:
+        length = min(simulate._CHUNK_STEPS, config.k_max - step)
+        draws = np.stack([g.standard_normal((length, m + 1)) for g in gens])
+        for i in range(length):
+            h = draws[:, i, :m] @ factor.T
+            eps = sigma * draws[:, i, m]
+            z = np.einsum("ri,i->r", h, theta_star) + eps
+            resid = np.einsum("ri,ri->r", h, theta) - z
+            theta = theta - (a * resid * active)[:, None] * h
+            err = theta - theta_star
+            sq_new = np.einsum("ri,ri->r", err, err)
+            ok = np.isfinite(sq_new) & (sq_new <= DIVERGENCE_GUARD)
+            was_active = active.astype(bool)
+            frozen = np.where(np.isfinite(sq_new), np.maximum(sq_new, sq), 1e18)
+            sq = np.where(was_active & ok, sq_new,
+                          np.where(was_active, frozen, sq))
+            active = active * ok.astype(float)
+            step += 1
+            if step in config.checkpoints:
+                checkpoint_mse[step] = float(np.mean(sq))
+            if settled_at is None and not active.any():
+                settled_at = step
+    return sq, int(np.sum(~active.astype(bool))), checkpoint_mse, settled_at
+
+
+M3_MODEL = gaussian_moment_model(GaussianSpec(np.array(
+    [[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]])))
+LONG_RUN = 2 * simulate._CHUNK_STEPS + 7
+
+
+class TestBatchedKernel:
+    # Each batch mixes gains that stay bounded, gains whose replications
+    # freeze at different steps, and a gain that freezes within a few steps;
+    # the checkpoints fall before and after those freezes and across chunks.
+    @pytest.mark.parametrize("model, theta_star, init, gains", [
+        (presets.benchmark_model("1B"), np.array([1.0, 1.0]), "standard_normal",
+         [0.05, 0.16, 0.3, 0.45, 0.9]),
+        (presets.benchmark_model("1A"), np.zeros(2), np.array([0.5, -2.0]),
+         [0.1, 0.49, 0.8, 1.9, 1e200]),
+        (M3_MODEL, np.zeros(3), "standard_normal", [0.2, 0.9, 1.3, 4.0]),
+        (M3_MODEL, np.array([1.0, -0.5, 2.0]), np.array([0.0, 1.0, 0.0]),
+         [0.0, 0.5, 1.2, 3.0]),
+    ], ids=["m2-random-init", "m2-fixed-init-zero-star", "m3-random-init-zero-star",
+            "m3-fixed-init"])
+    def test_each_gain_matches_reference_loop(self, model, theta_star, init, gains):
+        checkpoints = (1, 5, 60, simulate._CHUNK_STEPS, 3000, LONG_RUN)
+        base = dict(model=model, theta_star=theta_star, sigma_eps=0.1,
+                    k_max=LONG_RUN, replications=12, master_seed=7, init=init,
+                    checkpoints=checkpoints)
+        batch = run_lms(SimConfig(gain=gains[0], **base), gains=gains)
+        assert isinstance(batch, SimBatch) and len(batch) == len(gains)
+        settled = []
+        for gain, result in zip(gains, batch):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq, diverged, checkpoint_mse, settled_at = reference_run_lms(
+                    SimConfig(gain=gain, **base))
+            assert result.gain == gain
+            assert np.array_equal(result.per_replication, sq)
+            assert result.diverged_count == diverged
+            assert result.checkpoint_mse == checkpoint_mse
+            settled.append(settled_at)
+        assert batch.diverged_count == sum(r.diverged_count for r in batch)
+        # The batch covers a gain that settles between two checkpoints and
+        # a gain that never settles.
+        assert any(s is not None and checkpoints[0] < s < checkpoints[-1]
+                   for s in settled)
+        assert None in settled
+
+    def test_single_gain_call_returns_one_result(self):
+        cfg = config(k_max=300)
+        alone = run_lms(cfg)
+        (batched,) = run_lms(cfg, gains=[cfg.gain])
+        assert np.array_equal(alone.per_replication, batched.per_replication)
+        assert alone.checkpoint_mse == batched.checkpoint_mse
+
+    def test_drawing_stops_once_every_gain_settles(self, monkeypatch):
+        calls = []
+        draw = simulate._draw_chunk
+
+        def counting(*args):
+            calls.append(args[2])
+            return draw(*args)
+        monkeypatch.setattr(simulate, "_draw_chunk", counting)
+        k_max = 3 * simulate._CHUNK_STEPS
+        batch = run_lms(config(k_max=k_max, checkpoints=(k_max,)), gains=[2.0, 5.0])
+        assert batch.diverged_count == 2 * 8
+        assert len(calls) < math.ceil(k_max / simulate._CHUNK_STEPS)
+        for result in batch:
+            assert result.checkpoint_mse[k_max] == result.terminal_mse
+
+    def test_error_recursion_batch_matches_lms_at_zero_parameter(self):
+        cfg = config(theta_star=np.zeros(2), k_max=LONG_RUN)
+        gains = [0.1, 0.45, 1.0, 2.5]
+        direct = run_lms(cfg, gains=gains)
+        errors = run_error_recursion(cfg, gains=gains)
+        for a, b in zip(direct, errors):
+            assert np.array_equal(a.per_replication, b.per_replication)
+            assert a.diverged_count == b.diverged_count
+
+    def test_gains_are_validated(self):
+        with pytest.raises(ValueError, match="gain"):
+            run_lms(config(), gains=[0.1, -0.2])
 
 
 class TestDivergenceGuard:
