@@ -243,6 +243,11 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
                            tolerance_limited=cert.tolerance_limited)
 
 
+def _check_noise_level(sigma_eps: float) -> None:
+    if not np.isfinite(sigma_eps):
+        raise ValueError(f"sigma_eps must be finite, got {sigma_eps}")
+
+
 def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
                      p_matrix: Optional[np.ndarray], second_moment: np.ndarray,
                      sigma_eps: float) -> float:
@@ -255,6 +260,7 @@ def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
     Returns +inf when the relevant denominator vanishes (chi = 0 for the
     certificate criteria, singular S for zhu).
     """
+    _check_noise_level(sigma_eps)
     s = linalg.symmetrize(second_moment)
     noise = sigma_eps * sigma_eps
     if kind is CriterionKind.THEOREM1:
@@ -290,6 +296,7 @@ def finite_k_bound(gain: float, chi: float, p_matrix: np.ndarray,
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    _check_noise_level(sigma_eps)
     rate = gain * chi
     if not 0.0 < rate < 2.0:
         raise InvalidRate(f"a*chi must lie in (0, 2), got {rate:.6g}")

@@ -8,9 +8,21 @@ Replication ``r`` draws from a counter-based Philox generator seeded with
 reproduces the same numbers.  Per replication the draw order is fixed: the
 initial estimate (m standard normals, when the init law is random), then per
 step m standard normals for the regressor and one for the measurement noise.
-Each run draws chunks of steps in place into one reused (R, chunk, m+1)
-buffer.  Replications are reduced in index order; the engine is
-single-process and fully deterministic.
+Replications are reduced in index order; the engine is single-process and
+fully deterministic.
+
+Chunks
+------
+Each run draws ``_CHUNK_STEPS`` (256) steps at a time, in place, into one
+reused replication-major (R, chunk, m+1) buffer: 6 MB at R = 1000 and
+m = 2.  The streams do not depend on the chunk length.  The work that does
+not depend on the state is done once per chunk, step-major: the (chunk, R,
+m) regressors as a stack of the per-step (R, m) @ (m, m) products, the
+(chunk, R) noise, and for ``run_lms`` the measurements z.  The step loop
+then reads one contiguous (R, m) and (R,) slice per step and updates the
+state in place.  The products stay per step on purpose: one (chunk, m) @
+(m, m) product per replication takes another BLAS path when R = 1 and
+differs from the per-step product in the last bits.
 
 Shared streams across gains
 ---------------------------
@@ -24,8 +36,8 @@ circuited) to avoid overflow, keeping that first value beyond the guard
 divergence classification line so no borderline run is misclassified.  The
 freeze bookkeeping runs only on steps where some replication is frozen or
 freezes.  A gain whose replications are all frozen leaves the batch on that
-step, its later checkpoints take its frozen mean, and drawing stops once no
-gain is left.
+step (its ``settled_step``), its later checkpoints take its frozen mean, and
+drawing stops once no gain is left.
 
 Recursions
 ----------
@@ -55,7 +67,7 @@ from .moments import DataMatrix, MomentModel
 DIVERGENCE_GUARD = 1e12
 BOUNDED_THRESHOLD = 10.0
 DIVERGED_THRESHOLD = 1e8
-_CHUNK_STEPS = 2048
+_CHUNK_STEPS = 256
 
 
 class RankDeficient(ValueError):
@@ -111,16 +123,21 @@ class SimConfig:
         if self.theta_star.shape != (self.model.dim,):
             raise ValueError(
                 f"theta_star has shape {self.theta_star.shape}, model dim is {self.model.dim}")
+        if not np.all(np.isfinite(self.theta_star)):
+            raise ValueError(f"theta_star must be finite, got {self.theta_star}")
         if not (self.gain >= 0 and np.isfinite(self.gain)):
             raise ValueError(f"gain must be nonnegative, got {self.gain}")
-        if self.sigma_eps < 0:
-            raise ValueError("sigma_eps must be nonnegative")
+        if not (self.sigma_eps >= 0 and np.isfinite(self.sigma_eps)):
+            raise ValueError(
+                f"sigma_eps must be finite and nonnegative, got {self.sigma_eps}")
         if self.k_max < 1 or self.replications < 1:
             raise ValueError("k_max and replications must be at least 1")
         if not isinstance(self.init, str):
             self.init = np.asarray(self.init, dtype=float)
             if self.init.shape != (self.model.dim,):
                 raise ValueError("fixed init vector has the wrong shape")
+            if not np.all(np.isfinite(self.init)):
+                raise ValueError(f"fixed init vector must be finite, got {self.init}")
         elif self.init != "standard_normal":
             raise ValueError(f"unknown init law {self.init!r}")
         self.checkpoints = tuple(sorted(set(int(k) for k in self.checkpoints)))
@@ -141,6 +158,7 @@ class SimResult:
     k_max: int
     replications: int
     gain: float
+    settled_step: Optional[int] = None  # step on which the last replication froze
 
     def replication_classifications(self) -> list[str]:
         return [classify(float(v)) for v in self.per_replication]
@@ -175,7 +193,8 @@ def _draw_chunk(gens: list[np.random.Generator], buf: np.ndarray,
 
 
 def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
-              checkpoint_mse: dict[int, float]) -> SimResult:
+              checkpoint_mse: dict[int, float],
+              settled_step: Optional[int]) -> SimResult:
     per_rep = sq.copy()
     mse = float(np.mean(per_rep))
     se = float(np.std(per_rep, ddof=1) / np.sqrt(len(per_rep))) if len(per_rep) > 1 else 0.0
@@ -190,6 +209,7 @@ def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
         k_max=config.k_max,
         replications=config.replications,
         gain=config.gain,
+        settled_step=settled_step,
     )
 
 
@@ -208,20 +228,24 @@ def _per_component(values: np.ndarray, m: int) -> np.ndarray:
     Multiplying the result by an (R, m) array runs as one loop over R*m
     elements, where broadcasting ``values[..., None]`` loops over m per row.
     """
-    return np.repeat(values, m, axis=-1).reshape(*values.shape, m)
+    return values.repeat(m, axis=-1).reshape(*values.shape, m)
 
 
 def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
               origin: np.ndarray,
-              step: Callable[..., tuple[np.ndarray, np.ndarray]]
+              measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              step: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                             np.ndarray]
               ) -> Union[SimResult, SimBatch]:
     """Step every gain over one draw of the replication streams.
 
-    The state of each gain starts at theta_0 - ``origin``.
-    ``step(state, h, eps, scale)`` updates the (G, R, m) state with the
-    (R, m) regressors h and the (R,) noise draws eps, multiplying each
-    (G, R) residual by ``scale`` (the gain, times 0 on frozen
-    replications), and returns the new state and its squared error norms.
+    The state of each gain starts at theta_0 - ``origin``.  Per chunk of L
+    steps, ``measure(hs, noise)`` maps the (L, R, m) regressors and the
+    (L, R) noise to the (L, R) measurements the recursion compares against.
+    ``step(state, h, z, scale)`` updates the (G, R, m) state in place with
+    one step's (R, m) regressors h and (R,) measurements z, multiplying
+    each (G, R) residual by ``scale`` (the gain, times 0 on frozen
+    replications), and returns the new squared error norms.
     ``gains=None`` runs ``config.gain`` alone and returns its ``SimResult``.
     """
     configs = ([config] if gains is None
@@ -238,7 +262,9 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     gain = np.array([c.gain for c in configs])[:, None]
     scale = gain * live
     order = np.arange(len(configs))  # batch index of each gain still in the state
-    finals: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(configs)
+    # Per gain: final squared norms, live mask and the step it settled on.
+    finals: list[Optional[tuple[np.ndarray, np.ndarray, Optional[int]]]] = (
+        [None] * len(configs))
     checkpoints = set(config.checkpoints)
     checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
     buf = np.empty((config.replications, min(_CHUNK_STEPS, k_max), m + 1))
@@ -247,23 +273,27 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     while step_no < k_max and len(order):
         length = min(buf.shape[1], k_max - step_no)
         draws = _draw_chunk(gens, buf, length)
+        # One stacked (R, m) @ (m, m) product per step, as the per-step
+        # loop computes it: a (length, m) @ (m, m) product per replication
+        # takes another BLAS path at R = 1 and differs in the last bits.
+        hs = np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t)
+        zs = measure(hs, sigma * np.ascontiguousarray(draws[:, :length, m].T))
         for i in range(length):
-            h = draws[:, i, :m] @ factor_t
-            state, sq_new = step(state, h, sigma * draws[:, i, m], scale)
+            sq_new = step(state, hs[i], zs[i], scale)
             step_no += 1
-            ok = sq_new <= DIVERGENCE_GUARD
-            # A frozen row no longer moves and never reads ok again, so
-            # ok.all() means that every row is live and stays live.
-            if ok.all():
+            # A frozen row no longer moves and stays beyond the guard, so a
+            # maximum within the guard means that every row is live and
+            # stays live; NaN fails the comparison and takes the freeze path.
+            if sq_new.max() <= DIVERGENCE_GUARD:
                 sq = sq_new
             else:
                 np.copyto(sq, sq_new, where=live)
                 np.copyto(sq, 1e18, where=~np.isfinite(sq))
-                live &= ok
+                live &= sq_new <= DIVERGENCE_GUARD
                 keep = live.any(axis=1)
                 if not keep.all():
                     for j in np.flatnonzero(~keep):
-                        finals[order[j]] = sq[j], live[j]
+                        finals[order[j]] = sq[j], live[j], step_no
                     state, sq, live = state[keep], sq[keep], live[keep]
                     gain, order = gain[keep], order[keep]
                 scale = gain * live
@@ -274,13 +304,14 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
                 break
 
     for j, index in enumerate(order):
-        finals[index] = sq[j], live[j]
+        finals[index] = sq[j], live[j], None
     results = SimBatch()
     for index, cfg in enumerate(configs):
-        row, row_live = finals[index]
+        row, row_live, settled_step = finals[index]
         frozen_mse = float(np.mean(row))
         results.append(_finalize(cfg, row, row_live, {
-            k: checkpoint_mse[index].get(k, frozen_mse) for k in config.checkpoints}))
+            k: checkpoint_mse[index].get(k, frozen_mse) for k in config.checkpoints},
+            settled_step))
     return results[0] if gains is None else results
 
 
@@ -295,13 +326,17 @@ def run_lms(config: SimConfig,
     m, theta_star = config.model.dim, config.theta_star
     star_rows = np.tile(theta_star, (config.replications, 1))
 
-    def step(theta, h, eps, scale):
-        z = np.einsum("ri,i->r", h, theta_star) + eps
-        resid = np.einsum("gri,ri->gr", theta, h) - z
-        theta = theta - _per_component(scale * resid, m) * h
+    def measure(hs, noise):
+        return np.einsum("lri,i->lr", hs, theta_star) + noise
+
+    def step(theta, h, z, scale):
+        resid = np.einsum("gri,ri->gr", theta, h)
+        resid -= z
+        resid *= scale
+        theta -= _per_component(resid, m) * h
         err = theta - star_rows
-        return theta, np.einsum("gri,gri->gr", err, err)
-    return _simulate(config, gains, np.zeros(m), step)
+        return np.einsum("gri,gri->gr", err, err)
+    return _simulate(config, gains, np.zeros(m), measure, step)
 
 
 def run_error_recursion(config: SimConfig,
@@ -315,10 +350,13 @@ def run_error_recursion(config: SimConfig,
     m = config.model.dim
 
     def step(theta_err, h, eps, scale):
-        resid = np.einsum("gri,ri->gr", theta_err, h) - eps
-        theta_err = theta_err - _per_component(scale * resid, m) * h
-        return theta_err, np.einsum("gri,gri->gr", theta_err, theta_err)
-    return _simulate(config, gains, config.theta_star, step)
+        resid = np.einsum("gri,ri->gr", theta_err, h)
+        resid -= eps
+        resid *= scale
+        theta_err -= _per_component(resid, m) * h
+        return np.einsum("gri,gri->gr", theta_err, theta_err)
+    return _simulate(config, gains, config.theta_star,
+                     lambda hs, noise: noise, step)
 
 
 def replay_lms(data: DataMatrix, gain: float,

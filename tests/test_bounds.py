@@ -326,6 +326,14 @@ class TestAsymptoticBound:
         with pytest.raises(ValueError, match="corollary2"):
             asymptotic_bound(K.COROLLARY2, 0.1, None, None, s, 0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        s = model("1A").second_moment
+        with pytest.raises(ValueError, match="sigma_eps"):
+            asymptotic_bound(K.ZHU, 0.1, None, None, s, sigma)
+        with pytest.raises(ValueError, match="sigma_eps"):
+            finite_k_bound(0.1, 1.0, np.eye(2), s, sigma, 3.0, 1)
+
     def test_widrow_kinds_have_no_bound(self):
         s = model("1A").second_moment
         for kind in (K.WIDROW_LAMBDA_MAX, K.WIDROW_TRACE):

@@ -182,6 +182,11 @@ class TestErrorbound:
         res = run(runner, "errorbound", "--model", "1A", "--xi", "-1")
         assert res.exit_code == 2
 
+    def test_non_finite_sigma_is_input_error(self, runner):
+        res = run(runner, "errorbound", "--model", "1A", "--sigma-eps", "nan")
+        assert res.exit_code == 2
+        assert "sigma_eps" in res.output
+
 
 class TestSimulate:
     ARGS = ("simulate", "--model", "1A", "--gain", "0.1", "--iters", "50",
@@ -246,6 +251,14 @@ class TestSimulate:
         res = run(runner, "simulate", "--model", "1A", "--gain", "0.1",
                   "--sigma-eps", "-1", "--iters", "5", "--reps", "2")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--sigma-eps", "nan"), ("--theta-star", "nan,1"), ("--init", "inf,0")])
+    def test_non_finite_input_is_config_error(self, runner, option, value):
+        res = run(runner, "simulate", "--model", "1A", "--gain", "0.1",
+                  option, value, "--iters", "5", "--reps", "2")
+        assert res.exit_code == 2
+        assert "classification" not in res.output
 
     def test_printed_model_cannot_simulate(self, runner, tmp_path):
         path = tmp_path / "mom.csv"

@@ -79,6 +79,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sigma_eps"):
             config(sigma_eps=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_inputs(self, bad):
+        with pytest.raises(ValueError, match="sigma_eps"):
+            config(sigma_eps=bad)
+        with pytest.raises(ValueError, match="theta_star"):
+            config(theta_star=np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="init"):
+            config(init=np.array([0.0, bad]))
+
     def test_protocol_sizes(self):
         with pytest.raises(ValueError, match="k_max and replications"):
             config(k_max=0)
@@ -192,29 +201,61 @@ def reference_run_lms(config):
     return sq, int(np.sum(~active.astype(bool))), checkpoint_mse, settled_at
 
 
-M3_MODEL = gaussian_moment_model(GaussianSpec(np.array(
-    [[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]])))
-LONG_RUN = 2 * simulate._CHUNK_STEPS + 7
+def gaussian_law(cov):
+    return gaussian_moment_model(GaussianSpec(np.array(cov, dtype=float)))
+
+
+M1_MODEL = gaussian_law([[1.5]])
+M3_MODEL = gaussian_law([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]])
+M5_MODEL = gaussian_law(np.diag([1.0, 0.7, 0.5, 0.3, 0.2])
+                        + 0.05 * np.ones((5, 5)))
+# A law drawn the way the mc_ensemble benchmark draws its m = 3 laws.
+_ENSEMBLE_A = np.random.default_rng(5).standard_normal((3, 3))
+ENSEMBLE_MODEL = gaussian_law(_ENSEMBLE_A @ _ENSEMBLE_A.T + 0.1 * np.eye(3))
+# Fixed so that the run spans many chunks whatever the chunk length.
+LONG_RUN = 4103
 
 
 class TestBatchedKernel:
     # Each batch mixes gains that stay bounded, gains whose replications
     # freeze at different steps, and a gain that freezes within a few steps;
-    # the checkpoints fall before and after those freezes and across chunks.
-    @pytest.mark.parametrize("model, theta_star, init, gains", [
+    # the checkpoints fall before and after those freezes, on the first and
+    # last chunk boundaries and one step after each.  R = 1 and R = 2 cover
+    # the one- and two-row regressor products, which BLAS treats apart.
+    @pytest.mark.parametrize("model, theta_star, init, gains, reps", [
         (presets.benchmark_model("1B"), np.array([1.0, 1.0]), "standard_normal",
-         [0.05, 0.16, 0.3, 0.45, 0.9]),
+         [0.05, 0.16, 0.3, 0.45, 0.9], 12),
         (presets.benchmark_model("1A"), np.zeros(2), np.array([0.5, -2.0]),
-         [0.1, 0.49, 0.8, 1.9, 1e200]),
-        (M3_MODEL, np.zeros(3), "standard_normal", [0.2, 0.9, 1.3, 4.0]),
+         [0.1, 0.49, 0.8, 1.9, 1e200], 12),
+        (M3_MODEL, np.zeros(3), "standard_normal", [0.2, 0.9, 1.3, 4.0], 12),
         (M3_MODEL, np.array([1.0, -0.5, 2.0]), np.array([0.0, 1.0, 0.0]),
-         [0.0, 0.5, 1.2, 3.0]),
+         [0.0, 0.5, 1.2, 3.0], 12),
+        (presets.benchmark_model("1C"), np.array([1.0, 1.0]), np.array([0.5, -2.0]),
+         [0.05, 0.3, 0.9], 1),
+        (presets.benchmark_model("1C"), np.array([1.0, -1.0]), "standard_normal",
+         [0.1, 0.6, 2.0], 2),
+        (M3_MODEL, np.array([1.0, -0.5, 2.0]), "standard_normal",
+         [0.2, 1.3, 4.0], 1),
+        (M3_MODEL, np.array([1.0, -0.5, 2.0]), "standard_normal",
+         [0.2, 1.3, 4.0], 2),
+        (M1_MODEL, np.array([2.0]), "standard_normal", [0.1, 0.4, 1.0, 3.0], 12),
+        (M5_MODEL, np.linspace(-1.0, 1.0, 5), "standard_normal",
+         [0.05, 0.3, 0.8, 2.0], 12),
+        (presets.benchmark_model("1D"), np.array([1.0, 1.0]), "standard_normal",
+         [0.1, 0.3, 0.6, 2.0], 12),
+        (ENSEMBLE_MODEL, np.array([0.3, -1.2, 0.8]), "standard_normal", [0.1296], 100),
     ], ids=["m2-random-init", "m2-fixed-init-zero-star", "m3-random-init-zero-star",
-            "m3-fixed-init"])
-    def test_each_gain_matches_reference_loop(self, model, theta_star, init, gains):
-        checkpoints = (1, 5, 60, simulate._CHUNK_STEPS, 3000, LONG_RUN)
+            "m3-fixed-init", "m2-one-replication", "m2-two-replications",
+            "m3-one-replication", "m3-two-replications", "m1", "m5",
+            "m2-singular-1D", "m3-ensemble-law"])
+    def test_each_gain_matches_reference_loop(self, model, theta_star, init,
+                                              gains, reps):
+        chunk = simulate._CHUNK_STEPS
+        last_boundary = LONG_RUN // chunk * chunk
+        checkpoints = (1, 5, 60, chunk, chunk + 1, 3000, last_boundary,
+                       last_boundary + 1, LONG_RUN)
         base = dict(model=model, theta_star=theta_star, sigma_eps=0.1,
-                    k_max=LONG_RUN, replications=12, master_seed=7, init=init,
+                    k_max=LONG_RUN, replications=reps, master_seed=7, init=init,
                     checkpoints=checkpoints)
         batch = run_lms(SimConfig(gain=gains[0], **base), gains=gains)
         assert isinstance(batch, SimBatch) and len(batch) == len(gains)
@@ -227,12 +268,14 @@ class TestBatchedKernel:
             assert np.array_equal(result.per_replication, sq)
             assert result.diverged_count == diverged
             assert result.checkpoint_mse == checkpoint_mse
+            assert result.settled_step == settled_at
             settled.append(settled_at)
         assert batch.diverged_count == sum(r.diverged_count for r in batch)
-        # The batch covers a gain that settles between two checkpoints and
-        # a gain that never settles.
-        assert any(s is not None and checkpoints[0] < s < checkpoints[-1]
-                   for s in settled)
+        if len(gains) > 1:
+            # The batch covers a gain that settles between two checkpoints
+            # and a gain that never settles.
+            assert any(s is not None and checkpoints[0] < s < checkpoints[-1]
+                       for s in settled)
         assert None in settled
 
     def test_single_gain_call_returns_one_result(self):
@@ -258,13 +301,17 @@ class TestBatchedKernel:
             assert result.checkpoint_mse[k_max] == result.terminal_mse
 
     def test_error_recursion_batch_matches_lms_at_zero_parameter(self):
-        cfg = config(theta_star=np.zeros(2), k_max=LONG_RUN)
-        gains = [0.1, 0.45, 1.0, 2.5]
-        direct = run_lms(cfg, gains=gains)
-        errors = run_error_recursion(cfg, gains=gains)
-        for a, b in zip(direct, errors):
-            assert np.array_equal(a.per_replication, b.per_replication)
-            assert a.diverged_count == b.diverged_count
+        # 1C's correlated factor makes h inexact; R = 1 is the one-row product.
+        for name, reps in (("1A", 8), ("1C", 1)):
+            cfg = config(name, theta_star=np.zeros(2), k_max=LONG_RUN,
+                         replications=reps)
+            gains = [0.1, 0.45, 1.0, 2.5]
+            direct = run_lms(cfg, gains=gains)
+            errors = run_error_recursion(cfg, gains=gains)
+            for a, b in zip(direct, errors):
+                assert np.array_equal(a.per_replication, b.per_replication)
+                assert a.diverged_count == b.diverged_count
+                assert a.settled_step == b.settled_step
 
     def test_gains_are_validated(self):
         with pytest.raises(ValueError, match="gain"):
