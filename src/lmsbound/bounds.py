@@ -32,8 +32,8 @@ import numpy as np
 
 from . import linalg
 from .lmi import (GainCertificate, LmiProblem, NonConvergence,
-                  RELAXED_TOL_DEFAULT, STRICT_MARGIN, operator_matrices,
-                  solve_feasibility)
+                  RELAXED_TOL_DEFAULT, STRICT_MARGIN, mean_square_map_matrix,
+                  operator_matrices, solve_feasibility)
 from .moments import MomentModel
 
 TOL_A = 1e-5     # sup certificates are built at the gain sup*(1 - TOL_A)
@@ -217,13 +217,12 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     if kind is not CriterionKind.THEOREM1:
         raise ValueError(f"max chi is defined for certificate criteria, not {kind}")
 
-    l_hat, f_hat = operator_matrices(model)
-    _, vectors, singular = _range(l_hat)
+    _, vectors, singular = _range(operator_matrices(model)[0])
     if singular and mode == "strict":
         raise GainTooLarge(
             f"gain {gain} has no strictly feasible rate: the second moment "
             f"is singular")
-    t_hat = np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
+    t_hat = mean_square_map_matrix(model, gain)
     rho = float(np.linalg.eigvalsh(vectors.T @ t_hat @ vectors)[-1])
     chi = (1.0 - rho) / gain - (TOL_CHI + STRICT_MARGIN)
     if singular:
@@ -244,8 +243,8 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
 
 
 def _check_noise_level(sigma_eps: float) -> None:
-    if not np.isfinite(sigma_eps):
-        raise ValueError(f"sigma_eps must be finite, got {sigma_eps}")
+    if not (sigma_eps >= 0 and np.isfinite(sigma_eps)):
+        raise ValueError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
 
 
 def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],

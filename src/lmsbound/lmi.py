@@ -9,12 +9,14 @@ equivalently T(P) <= (1 - a*chi) P for the one-step mean-square map
     T(P) = E[(I - a h h^T) P (I - a h h^T)] = P - a(S P + P S) + a^2 F(P).
 
 On the d = m(m+1)/2 dimensional space of symmetric matrices, with the
-orthonormal basis ``sym_basis``, L(P) = S P + P S and F are d x d symmetric
-positive semidefinite matrices L^ and F^ (``operator_matrices``), and
-T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive definite P with
-T(P) < gamma P exists iff rho(T) < gamma (Collatz-Wielandt), and one
-eigendecomposition of T^ = V diag(lambda) V^T both decides the inequality
-and yields a certificate in closed form: with e the coordinates of I,
+orthonormal basis ``sym_basis`` as the rows of K, L(P) = S P + P S and F
+are d x d symmetric positive semidefinite matrices (``operator_matrices``):
+L^ = K (S kron I + I kron S) K^T, and F^, the Gram matrix built with the
+model.  T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive
+definite P with T(P) < gamma P exists iff rho(T) < gamma
+(Collatz-Wielandt), and one eigendecomposition of T^ = V diag(lambda) V^T
+both decides the inequality and yields a certificate in closed form: with
+e the coordinates of I,
 
     P = sum_i c_i V_i,   c_i = gamma e_i / (gamma - lambda_i)  if lambda_i < gamma,
                          c_i = e_i                             otherwise,
@@ -23,11 +25,14 @@ which is the resolvent P = gamma (gamma - T)^{-1} I >= I when every
 eigenvalue contracts, and gives T(P) - gamma P = -gamma I on the contracting
 part and a*chi*I on the frozen directions.  The identity is tried first and
 kept when it certifies, since it gives the tighter error bound whenever it
-is admissible.  The search uses LAPACK (``numpy.linalg``).
+is admissible.  The search uses LAPACK (``numpy.linalg``) and never
+evaluates F(P): the identity slack is lambda_max(a M4 - 2 S + chi I), and
+the resolvent's drift matrix Q(P) = (T(P) - gamma P)/a is read off the same
+eigendecomposition.
 
 Certificates are verified from scratch: ``check_certificate`` recomputes the
-slack lambda_max(a F(P) - P S - S P + chi P) with the in-house Jacobi
-eigensolver and shares no state with the search.
+slack lambda_max(a F(P) - P S - S P + chi P) from the law (F(P), never F^)
+with the in-house Jacobi eigensolver and shares no state with the search.
 
 Degenerate laws (singular S with regressors confined to a subspace) admit
 no strictly feasible point: T keeps a frozen unit eigenvalue along the
@@ -45,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import NonConvergence
-from .moments import MomentModel
+from .moments import MomentModel, UnsupportedOperator, sym_basis
 
 EPS_FEAS_DEFAULT = 1e-8
 RELAXED_TOL_DEFAULT = 1e-5
@@ -103,22 +108,6 @@ class FeasibilityOutcome:
     tolerance_limited: bool = False
 
 
-def sym_basis(m: int) -> list[np.ndarray]:
-    """Orthonormal basis of symmetric m x m matrices under <A,B> = tr(AB)."""
-    basis = []
-    for i in range(m):
-        b = np.zeros((m, m))
-        b[i, i] = 1.0
-        basis.append(b)
-    root_half = 1.0 / np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            b = np.zeros((m, m))
-            b[i, j] = b[j, i] = root_half
-            basis.append(b)
-    return basis
-
-
 def drift_matrix(model: MomentModel, gain: float, rate: float, p: np.ndarray) -> np.ndarray:
     """Q(P) = a F(P) - P S - S P + chi P, the matrix whose max eigenvalue is the slack."""
     s = model.second_moment
@@ -145,13 +134,12 @@ def check_certificate(model: MomentModel, cert: GainCertificate,
 
 
 def operator_matrices(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
-    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``, with d calls to F."""
-    s = model.second_moment
-    basis = sym_basis(model.dim)
-    coords = np.array([b.ravel() for b in basis])
-    l_hat = coords @ np.array([(s @ b + b @ s).ravel() for b in basis]).T
-    f_hat = coords @ np.array([model.fourth_moment(b).ravel() for b in basis]).T
-    return (l_hat + l_hat.T) / 2.0, (f_hat + f_hat.T) / 2.0
+    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``; F^ is the model's own."""
+    if model.f_hat is None:
+        raise UnsupportedOperator("a printed-moments model has no F^")
+    s, eye = model.second_moment, np.eye(model.dim)
+    k = sym_basis(model.dim).reshape(-1, s.size)
+    return k @ (np.kron(s, eye) + np.kron(eye, s)) @ k.T, model.f_hat
 
 
 def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:
@@ -160,22 +148,23 @@ def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:
     return np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
 
 
-def _slack_of(model: MomentModel, gain: float, rate: float, p: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(drift_matrix(model, gain, rate, p))[-1])
+def _resolvent(values: np.ndarray, vectors: np.ndarray, gamma: float,
+               gain: float, m: int) -> tuple[Optional[np.ndarray], float]:
+    """The closed-form certificate of the module docstring and its slack.
 
-
-def _resolvent_p(values: np.ndarray, vectors: np.ndarray, gamma: float,
-                 m: int) -> Optional[np.ndarray]:
-    """The closed-form certificate of the module docstring, scaled to lambda_min = 1.
-
-    None when it is not positive definite, which happens only if some
-    eigenvalue of T^ other than a frozen one reaches gamma.
+    P is scaled to lambda_min = 1.  (None, inf) when it is not positive
+    definite, which happens only if some eigenvalue of T^ other than a
+    frozen one reaches gamma.
     """
+    k = sym_basis(m).reshape(-1, m * m)
     e = vectors[:m].sum(axis=0)   # the first m basis elements sum to I
     c = np.divide(gamma * e, gamma - values, out=e.copy(), where=values < gamma)
-    p = sum(ci * b for ci, b in zip(vectors @ c, sym_basis(m)))
+    p = (vectors @ c @ k).reshape(m, m)
     p_min = float(np.linalg.eigvalsh(p)[0])
-    return p / p_min if p_min > 0 else None
+    if p_min <= 0:
+        return None, np.inf
+    q = (vectors @ ((values - gamma) * c) @ k).reshape(m, m) / (gain * p_min)
+    return p / p_min, float(np.linalg.eigvalsh(q)[-1])
 
 
 def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
@@ -197,15 +186,15 @@ def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
         return 1 if relaxed and slack <= problem.relaxed_tol else 2
 
     best_p = np.eye(m)
-    best_slack = _slack_of(model, a, chi, best_p)
+    best_slack = float(np.linalg.eigvalsh(
+        a * model.m4 - 2.0 * model.second_moment + chi * best_p)[-1])
     gamma_gap = np.nan
     if problem.p_restriction == "free" and model.supports_general_p:
         gamma = 1.0 - a * chi
         values, vectors = np.linalg.eigh(mean_square_map_matrix(model, a))
         gamma_gap = gamma - values[-1]
         if grade(best_slack) > 0:
-            p = _resolvent_p(values, vectors, gamma, m)
-            slack = np.inf if p is None else _slack_of(model, a, chi, p)
+            p, slack = _resolvent(values, vectors, gamma, a, m)
             if grade(slack) < grade(best_slack):
                 best_p, best_slack = p, slack
 

@@ -1,24 +1,28 @@
 """Regressor moment models: second moments and the fourth-moment operator.
 
-A moment model packages the two statistics the stability analysis consumes:
+A moment model packages what the stability analysis consumes: the second
+moment S = E[h h^T], the linear operator F(P) = E[(h^T P h) h h^T], and
+``f_hat``, the matrix F^ of F on the orthonormal symmetric basis
+``sym_basis`` B_1..B_d (d = m(m+1)/2).  With c_i = h^T B_i h,
+<B_i, F(B_j)> = E[c_i c_j], so F^ = E[c c^T] is a positive semidefinite
+Gram matrix, built once with the model, in any dimension.
 
-* ``second_moment``  S = E[h h^T]
-* the linear operator  F(P) = E[h h^T P h h^T] = E[(h^T P h) h h^T]
+For zero-mean Gaussian regressors (Isserlis' theorem, symmetric P)
+F(P) = 2 S P S + S tr(P S) and F^ = 2 K (S kron S) K^T + k k^T, where K
+stacks the vec(B_i) as rows and k = K vec(S).  An empirical model reduces
+its rows H in a fixed chunk order with compensated (Kahan) summation, so
+the result is repeatable to the bit: S and F^ = C^T C / n in one pass, and
+each F(P) = (H o w)^T H / n with w = rowsum((H P) o H) in another.  An
+explicit model carries printed matrices S and M4 = F(I) only: F^ is None
+and F(P) raises UnsupportedOperator unless P = I.
 
-Three constructions are supported.  For zero-mean Gaussian regressors F has
-the closed form (Isserlis' theorem, symmetric P)
-
-    F(P) = 2 S P S + S * tr(P S),
-
-valid in any dimension.  An explicit model carries printed/published matrices
-S and M4 = F(I) only, so F is available only at P = I and anything else
-raises UnsupportedOperator.  An empirical model averages the moments over
-data rows with compensated (Kahan) summation in a fixed chunk order, which
-makes the result independent of threading and repeatable to the bit.
+The certificate search reads S, M4 and F^ only; the certificate check
+evaluates F(P) from the law and never reads F^.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,9 +31,8 @@ import numpy as np
 from . import linalg
 
 _PSD_TOL = 1e-9
-_CHUNK = 65536
-# Full fourth-moment tensors are cached up to this dimension (m^4 floats).
-_TENSOR_DIM_CAP = 8
+# Rows per summation chunk; bounds the (chunk, m^2) feature array of the F^ pass.
+_CHUNK = 4096
 
 
 class InvalidCovariance(ValueError):
@@ -112,8 +115,8 @@ class DataMatrix:
 class MomentModel:
     """Second moment plus fourth-moment operator for one regressor law.
 
-    ``fourth_operator`` is None for printed-moments models; ``sampling_cov``
-    is set when the law can be sampled (Gaussian specs).
+    ``fourth_operator`` and ``f_hat`` are None for printed-moments models;
+    ``sampling_cov`` is set when the law can be sampled (Gaussian specs).
     """
 
     second_moment: np.ndarray
@@ -122,6 +125,7 @@ class MomentModel:
     fourth_operator: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
     sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
+    f_hat: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         s = linalg.symmetrize(self.second_moment)
@@ -135,6 +139,8 @@ class MomentModel:
             raise InvalidCovariance(f"second moment is not PSD (margin {margin:.3g})")
         self.second_moment = s
         self.m4 = m4
+        if self.f_hat is not None:
+            self.f_hat = linalg.symmetrize(self.f_hat)
 
     @property
     def dim(self) -> int:
@@ -159,6 +165,22 @@ class MomentModel:
             "F(P) is available solely at P = I")
 
 
+@functools.lru_cache(maxsize=None)
+def sym_basis(m: int) -> np.ndarray:
+    """Orthonormal basis of symmetric m x m matrices under <A,B> = tr(AB).
+
+    A read-only (d, m, m) array, built once per m: the diagonal units, then
+    (E_ij + E_ji)/sqrt(2) for i < j.  Reshaped to (d, m*m) it is K.
+    """
+    pairs = [(i, i) for i in range(m)] + [
+        (i, j) for i in range(m) for j in range(i + 1, m)]
+    basis = np.zeros((len(pairs), m, m))
+    for n, (i, j) in enumerate(pairs):
+        basis[n, i, j] = basis[n, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+    basis.setflags(write=False)
+    return basis
+
+
 def _wick_operator(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def apply(P: np.ndarray) -> np.ndarray:
         return 2.0 * cov @ P @ cov + cov * float(np.trace(P @ cov))
@@ -171,12 +193,15 @@ def gaussian_moment_model(spec: GaussianSpec | np.ndarray) -> MomentModel:
         spec = GaussianSpec(np.asarray(spec, dtype=float))
     cov = spec.covariance
     op = _wick_operator(cov)
+    k = sym_basis(spec.dim).reshape(-1, cov.size)
+    k_s = k @ cov.ravel()
     return MomentModel(
         second_moment=cov,
         m4=op(np.eye(spec.dim)),
         provenance="gaussian",
         fourth_operator=op,
         sampling_cov=cov,
+        f_hat=2.0 * k @ np.kron(cov, cov) @ k.T + np.outer(k_s, k_s),
     )
 
 
@@ -204,48 +229,33 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
 
 
 def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
-    """Moment model averaged over data rows.
-
-    Chunks of rows are reduced in a fixed order with Kahan compensation, so
-    the moments are deterministic for a given row order.  For dimensions up
-    to 8 the full fourth-moment tensor is cached and F(P) is a tensor
-    contraction; beyond that F(P) re-scans the rows per call.
-    """
+    """Moment model averaged over data rows, reduced as the module docstring says."""
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data, dtype=float))
     rows = data.rows
     n, m = rows.shape
+    k = sym_basis(m).reshape(-1, m * m)
 
-    second = np.zeros((m, m))
-    comp2 = np.zeros((m, m))
+    second, comp2 = np.zeros((m, m)), np.zeros((m, m))
+    f_hat, comp4 = np.zeros((len(k), len(k))), np.zeros((len(k), len(k)))
     for start in range(0, n, _CHUNK):
         h = rows[start:start + _CHUNK]
+        c = (h[:, :, None] * h[:, None, :]).reshape(len(h), m * m) @ k.T
         _kahan_add(second, comp2, h.T @ h)
-    second /= n
+        _kahan_add(f_hat, comp4, c.T @ c)
 
-    if m <= _TENSOR_DIM_CAP:
-        tensor = np.zeros((m, m, m, m))
-        comp4 = np.zeros((m, m, m, m))
+    def apply(P: np.ndarray) -> np.ndarray:
+        out, comp = np.zeros((m, m)), np.zeros((m, m))
         for start in range(0, n, _CHUNK):
             h = rows[start:start + _CHUNK]
-            _kahan_add(tensor, comp4, np.einsum("ni,nj,nk,nl->ijkl", h, h, h, h))
-        tensor /= n
-
-        def apply(P: np.ndarray) -> np.ndarray:
-            return np.einsum("ijkl,kl->ij", tensor, P)
-    else:
-        def apply(P: np.ndarray) -> np.ndarray:
-            out = np.zeros((m, m))
-            comp = np.zeros((m, m))
-            for start in range(0, n, _CHUNK):
-                h = rows[start:start + _CHUNK]
-                w = np.einsum("ni,ij,nj->n", h, P, h)
-                _kahan_add(out, comp, np.einsum("n,ni,nj->ij", w, h, h))
-            return out / n
+            w = np.einsum("ij,ij->i", h @ P, h)
+            _kahan_add(out, comp, (h * w[:, None]).T @ h)
+        return out / n
 
     return MomentModel(
-        second_moment=second,
+        second_moment=second / n,
         m4=apply(np.eye(m)),
         provenance="empirical",
         fourth_operator=apply,
+        f_hat=f_hat / n,
     )

@@ -326,7 +326,7 @@ class TestAsymptoticBound:
         with pytest.raises(ValueError, match="corollary2"):
             asymptotic_bound(K.COROLLARY2, 0.1, None, None, s, 0.1)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_non_finite_noise_rejected(self, sigma):
         s = model("1A").second_moment
         with pytest.raises(ValueError, match="sigma_eps"):

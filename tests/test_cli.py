@@ -186,6 +186,10 @@ class TestErrorbound:
         res = run(runner, "errorbound", "--model", "1A", "--sigma-eps", "nan")
         assert res.exit_code == 2
         assert "sigma_eps" in res.output
+        # A negative noise level is rejected here as it is by ``simulate``.
+        res = run(runner, "errorbound", "--model", "1B", "--sigma-eps", "-0.1")
+        assert res.exit_code == 2
+        assert "nonnegative" in res.output
 
 
 class TestSimulate:

@@ -1,10 +1,12 @@
 """Tests for the drift-inequality feasibility solver and its certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lmsbound import linalg, lmi, presets
-from lmsbound.moments import gaussian_moment_model
+from lmsbound import bounds, linalg, lmi, presets
+from lmsbound.moments import empirical_moment_model, gaussian_moment_model
 
 
 def gaussian(s1, s2, rho):
@@ -60,6 +62,47 @@ class TestDriftMatrix:
         q1 = lmi.drift_matrix(model, 0.1, 0.2, p)
         q2 = lmi.drift_matrix(model, 0.1, 0.7, p)
         assert np.allclose(q2 - q1, 0.5 * p, atol=1e-13)
+
+
+def reference_operator_matrices(model):
+    """(L^, F^) with d calls to F: K @ [F(B_j)], the construction F^ replaced."""
+    s = model.second_moment
+    basis = lmi.sym_basis(model.dim)
+    coords = np.array([b.ravel() for b in basis])
+    l_hat = coords @ np.array([(s @ b + b @ s).ravel() for b in basis]).T
+    f_hat = coords @ np.array([model.fourth_moment(b).ravel() for b in basis]).T
+    return l_hat, f_hat
+
+
+def random_law(kind, m):
+    if kind == "1D":
+        return presets.benchmark_model("1D")
+    rng = np.random.default_rng(40 + m)
+    a = rng.standard_normal((m, m))
+    if kind == "gaussian":
+        return gaussian_moment_model(a @ a.T / m + 0.1 * np.eye(m))
+    rows = rng.standard_t(5, (300, m)) @ a.T
+    if kind == "empirical-singular":
+        rows[:, -1] = rows[:, 0]
+    return empirical_moment_model(rows)
+
+
+class TestOperatorMatrices:
+    @pytest.mark.parametrize("kind,m", [("1D", 2)] + [
+        (kind, m) for kind in ("gaussian", "empirical", "empirical-singular")
+        for m in range(1, 10)])
+    def test_matches_d_call_reference(self, kind, m):
+        model = random_law(kind, m)
+        for got, want in zip(lmi.operator_matrices(model),
+                             reference_operator_matrices(model)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "empirical", "empirical-singular"])
+    def test_f_hat_is_symmetric_psd(self, kind):
+        f_hat = lmi.operator_matrices(random_law(kind, 4))[1]
+        assert np.array_equal(f_hat, f_hat.T)
+        values = np.linalg.eigvalsh(f_hat)
+        assert values[0] >= -1e-12 * values[-1]
 
 
 class TestMeanSquareMap:
@@ -200,6 +243,17 @@ class TestSolveFeasibility:
 
 
 class TestCheckCertificate:
+    @pytest.mark.parametrize("kind", ["gaussian", "empirical"])
+    def test_rejects_search_on_a_wrong_f_hat(self, kind):
+        # The search reads only F^ and the check only the law, so a model
+        # whose F^ is halved yields a theorem1 certificate the check refuses.
+        model = (presets.benchmark_model("1B") if kind == "gaussian"
+                 else random_law("empirical", 3))
+        assert bounds.sup_gain(model, bounds.CriterionKind.THEOREM1).certificate
+        mutant = dataclasses.replace(model, f_hat=0.5 * model.f_hat)
+        with pytest.raises(linalg.NonConvergence, match="verification"):
+            bounds.sup_gain(mutant, bounds.CriterionKind.THEOREM1)
+
     def test_rejects_positive_slack(self):
         model = presets.benchmark_model("1A")
         cert = lmi.GainCertificate(

@@ -132,7 +132,7 @@ class TestEmpiricalModel:
         np.testing.assert_allclose(model.second_moment,
                                    rows.T @ rows / 500.0, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 9])
     def test_fourth_operator_matches_direct_tensor(self, dim):
         rng = np.random.default_rng(dim)
         rows = rng.standard_normal((200, dim))
@@ -143,18 +143,6 @@ class TestEmpiricalModel:
         expect = np.einsum("n,ni,nj->ij", hp, rows, rows) / 200.0
         np.testing.assert_allclose(model.fourth_moment(p), expect, atol=1e-10)
         assert model.supports_general_p
-
-    def test_wide_design_uses_rescan_path(self):
-        # dims above the cached-tensor cap answer general P by re-scanning rows
-        dim = 9
-        rng = np.random.default_rng(1)
-        rows = rng.standard_normal((64, dim))
-        model = empirical_moment_model(rows)
-        p = rng.standard_normal((dim, dim))
-        p = (p + p.T) / 2.0
-        hp = np.einsum("ni,ij,nj->n", rows, p, rows)
-        expect = np.einsum("n,ni,nj->ij", hp, rows, rows) / 64.0
-        np.testing.assert_allclose(model.fourth_moment(p), expect, atol=1e-10)
 
     def test_m4_equals_operator_at_identity(self):
         rng = np.random.default_rng(9)
@@ -167,6 +155,23 @@ class TestEmpiricalModel:
         d = DataMatrix(np.eye(3))
         model = empirical_moment_model(d)
         np.testing.assert_allclose(model.second_moment, np.eye(3) / 3.0)
+
+
+class TestFourthMomentGram:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empirical_matches_wick_within_standard_errors(self, dim):
+        # F^ = E[c c^T] with c_i = h^T B_i h: the sample Gram matrix of
+        # Gaussian draws must agree with the closed form entry by entry.
+        rng = np.random.default_rng(60 + dim)
+        a = rng.standard_normal((dim, dim))
+        cov = a @ a.T / dim + 0.2 * np.eye(dim)
+        rows = rng.multivariate_normal(np.zeros(dim), cov, size=200_000)
+        c = np.einsum("ni,kij,nj->nk", rows, moments.sym_basis(dim), rows)
+        se = np.array([[np.std(ci * cj, ddof=1) for cj in c.T] for ci in c.T])
+        se /= np.sqrt(len(rows))
+        gap = (empirical_moment_model(rows).f_hat
+               - gaussian_moment_model(cov).f_hat)
+        assert np.abs(gap / se).max() < 5.0
 
 
 class TestMomentModelValidation:
