@@ -106,6 +106,8 @@ def protocol_gain(sup_gain: float, xi: float = XI_DEFAULT) -> float:
     reruns agree exactly.
     """
     a = round(sup_gain, 4) - xi
+    if not np.isfinite(a):
+        raise ValueError(f"gain must be positive and finite, got {a}")
     if a <= 0:
         raise GainTooLarge(f"sup gain {sup_gain} leaves no positive working gain")
     return a
@@ -194,8 +196,8 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     mode caps its rate just below ``relaxed_tol``, the slack it leaves on
     the frozen directions.
     """
-    if gain <= 0:
-        raise GainTooLarge(f"gain must be positive, got {gain}")
+    if not (gain > 0 and np.isfinite(gain)):
+        raise GainTooLarge(f"gain must be positive and finite, got {gain}")
     identity = np.eye(model.dim)
 
     if kind is CriterionKind.COROLLARY2:

@@ -230,8 +230,8 @@ def supgain(criteria, mode, fmt, **source):
 def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
     """Certified rates and asymptotic error bounds at the working gain."""
     name, moment_model = _resolve_model(**source)
-    if xi <= 0:
-        raise click.UsageError(f"xi must be positive, got {xi}")
+    if not (xi > 0 and np.isfinite(xi)):
+        raise click.UsageError(f"xi must be positive and finite, got {xi}")
     table = report.build_errorbound_table(
         (name,), models={name: moment_model}, simulate=False, mode=mode,
         xi=xi, sigma_eps=sigma_eps, gain=gain)

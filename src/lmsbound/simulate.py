@@ -33,11 +33,30 @@ and each gain's result is bit-identical to running that gain alone.  A
 replication whose squared error norm exceeds 1e12 is frozen (short-
 circuited) to avoid overflow, keeping that first value beyond the guard
 (1e18 if it overflowed); the freeze threshold sits far above the 1e8
-divergence classification line so no borderline run is misclassified.  The
-freeze bookkeeping runs only on steps where some replication is frozen or
-freezes.  A gain whose replications are all frozen leaves the batch on that
-step (its ``settled_step``), its later checkpoints take its frozen mean, and
-drawing stops once no gain is left.
+divergence classification line so no borderline run is misclassified.  A
+gain whose replications are all frozen leaves the batch on that step (its
+``settled_step``), its later checkpoints take its frozen mean, and drawing
+stops once no gain is left.
+
+A frozen replication's value is kept in a separate (G, R) array, and its
+state is parked at zero error (theta* - origin) with scale 0, so from then
+on its squared norm reads exactly 0.  A step whose largest squared norm is
+within the guard therefore has no replication that crossed it, and the
+freeze bookkeeping runs only on the steps where a live replication does.
+The kept values are merged back in at checkpoints and at the end.
+
+Exact row reductions
+--------------------
+The per-step dot products over the m components (the residuals, the
+squared norms and ``run_lms``'s measurements) go through ``_row_dot``.  For
+m <= 2 it multiplies elementwise and adds the component columns, which is
+bit-identical to ``np.einsum``: a sum of two rounded products is rounded
+once, and IEEE addition is commutative, so every summation order gives the
+same value.  The one possible difference is the sign of an exact zero,
+which ``+``, ``-`` and ``*`` cannot turn into a different value.  For
+m >= 3 the order matters, and numpy's SIMD einsum sums m = 3 as
+(p0 + p2) + p1, which an explicit order does not reproduce; so ``_row_dot``
+calls ``np.einsum`` there, as before.
 
 Recursions
 ----------
@@ -222,6 +241,19 @@ class SimBatch(list):
         return sum(result.diverged_count for result in self)
 
 
+def _row_dot(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` for a sum of ``a * b`` over the last axis.
+
+    For m <= 2 the product's component columns are added, which gives the
+    same values (see "Exact row reductions" above) at half the cost.
+    """
+    m = a.shape[-1]
+    if m > 2:
+        return np.einsum(subscripts, a, b)
+    p = a * b
+    return p[..., 0] + p[..., 1] if m == 2 else p[..., 0]
+
+
 def _per_component(values: np.ndarray, m: int) -> np.ndarray:
     """(G, R) values repeated m times along a new last axis.
 
@@ -231,6 +263,8 @@ def _per_component(values: np.ndarray, m: int) -> np.ndarray:
     return values.repeat(m, axis=-1).reshape(*values.shape, m)
 
 
+# A diverging replication may overflow before the guard freezes it.
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
               origin: np.ndarray,
               measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -245,7 +279,9 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     ``step(state, h, z, scale)`` updates the (G, R, m) state in place with
     one step's (R, m) regressors h and (R,) measurements z, multiplying
     each (G, R) residual by ``scale`` (the gain, times 0 on frozen
-    replications), and returns the new squared error norms.
+    replications), and returns the new squared error norms.  A frozen
+    replication's state is parked at theta* - ``origin``, where its squared
+    error norm is 0.
     ``gains=None`` runs ``config.gain`` alone and returns its ``SimResult``.
     """
     configs = ([config] if gains is None
@@ -257,8 +293,12 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     err0 = theta0 - config.theta_star
 
     state = np.repeat((theta0 - origin)[None], len(configs), axis=0)
-    sq = np.repeat(np.einsum("ri,ri->r", err0, err0)[None], len(configs), axis=0)
+    sq = np.repeat(_row_dot("ri,ri->r", err0, err0)[None], len(configs), axis=0)
     live = sq <= DIVERGENCE_GUARD
+    # The value each frozen row keeps; its state is parked at zero error.
+    frozen = np.where(np.isfinite(sq), sq, 1e18)
+    parked = config.theta_star - origin
+    np.copyto(state, parked, where=~live[..., None])
     gain = np.array([c.gain for c in configs])[:, None]
     scale = gain * live
     order = np.arange(len(configs))  # batch index of each gain still in the state
@@ -268,6 +308,8 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     checkpoints = set(config.checkpoints)
     checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
     buf = np.empty((config.replications, min(_CHUNK_STEPS, k_max), m + 1))
+    # A gain frozen from the start leaves the batch on step 1.
+    sweep = not live.all()
 
     step_no = 0
     while step_no < k_max and len(order):
@@ -279,32 +321,34 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
         hs = np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t)
         zs = measure(hs, sigma * np.ascontiguousarray(draws[:, :length, m].T))
         for i in range(length):
-            sq_new = step(state, hs[i], zs[i], scale)
+            sq = step(state, hs[i], zs[i], scale)
             step_no += 1
-            # A frozen row no longer moves and stays beyond the guard, so a
-            # maximum within the guard means that every row is live and
-            # stays live; NaN fails the comparison and takes the freeze path.
-            if sq_new.max() <= DIVERGENCE_GUARD:
-                sq = sq_new
-            else:
-                np.copyto(sq, sq_new, where=live)
-                np.copyto(sq, 1e18, where=~np.isfinite(sq))
-                live &= sq_new <= DIVERGENCE_GUARD
+            # Parked rows read 0, so a maximum within the guard means that
+            # no live row crossed it; NaN fails the comparison and freezes.
+            if sweep or not sq.max() <= DIVERGENCE_GUARD:
+                sweep = False
+                crossed = ~(sq <= DIVERGENCE_GUARD)
+                np.copyto(frozen, np.where(np.isfinite(sq), sq, 1e18), where=crossed)
+                np.copyto(state, parked, where=crossed[..., None])
+                live &= ~crossed
                 keep = live.any(axis=1)
                 if not keep.all():
                     for j in np.flatnonzero(~keep):
-                        finals[order[j]] = sq[j], live[j], step_no
-                    state, sq, live = state[keep], sq[keep], live[keep]
+                        finals[order[j]] = frozen[j], live[j], step_no
+                    state, sq, live, frozen = (
+                        state[keep], sq[keep], live[keep], frozen[keep])
                     gain, order = gain[keep], order[keep]
                 scale = gain * live
             if step_no in checkpoints:
+                merged = np.where(live, sq, frozen)
                 for j, index in enumerate(order):
-                    checkpoint_mse[index][step_no] = float(np.mean(sq[j]))
+                    checkpoint_mse[index][step_no] = float(np.mean(merged[j]))
             if not len(order):
                 break
 
+    merged = np.where(live, sq, frozen)
     for j, index in enumerate(order):
-        finals[index] = sq[j], live[j], None
+        finals[index] = merged[j], live[j], None
     results = SimBatch()
     for index, cfg in enumerate(configs):
         row, row_live, settled_step = finals[index]
@@ -327,15 +371,15 @@ def run_lms(config: SimConfig,
     star_rows = np.tile(theta_star, (config.replications, 1))
 
     def measure(hs, noise):
-        return np.einsum("lri,i->lr", hs, theta_star) + noise
+        return _row_dot("lri,i->lr", hs, theta_star) + noise
 
     def step(theta, h, z, scale):
-        resid = np.einsum("gri,ri->gr", theta, h)
+        resid = _row_dot("gri,ri->gr", theta, h)
         resid -= z
         resid *= scale
         theta -= _per_component(resid, m) * h
         err = theta - star_rows
-        return np.einsum("gri,gri->gr", err, err)
+        return _row_dot("gri,gri->gr", err, err)
     return _simulate(config, gains, np.zeros(m), measure, step)
 
 
@@ -350,11 +394,11 @@ def run_error_recursion(config: SimConfig,
     m = config.model.dim
 
     def step(theta_err, h, eps, scale):
-        resid = np.einsum("gri,ri->gr", theta_err, h)
+        resid = _row_dot("gri,ri->gr", theta_err, h)
         resid -= eps
         resid *= scale
         theta_err -= _per_component(resid, m) * h
-        return np.einsum("gri,gri->gr", theta_err, theta_err)
+        return _row_dot("gri,gri->gr", theta_err, theta_err)
     return _simulate(config, gains, config.theta_star,
                      lambda hs, noise: noise, step)
 

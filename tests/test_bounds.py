@@ -231,6 +231,13 @@ class TestProtocolGain:
         with pytest.raises(GainTooLarge):
             protocol_gain(1e-5)
 
+    @pytest.mark.parametrize("sup, xi", [
+        (0.5, float("nan")), (float("nan"), 1e-4), (float("inf"), 1e-4),
+        (0.5, -float("inf"))])
+    def test_non_finite_gain_rejected(self, sup, xi):
+        with pytest.raises(ValueError, match="gain must be positive and finite"):
+            protocol_gain(sup, xi)
+
 
 class TestMaxChi:
     def test_identity_rate_closed_form(self):
@@ -257,6 +264,12 @@ class TestMaxChi:
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(GainTooLarge):
             max_chi_search(model("1A"), K.THEOREM1, 0.0)
+
+    @pytest.mark.parametrize("kind", [K.THEOREM1, K.COROLLARY2])
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gain(self, kind, gain):
+        with pytest.raises(GainTooLarge, match="gain must be positive and finite"):
+            max_chi_search(model("1B"), kind, gain)
 
     def test_rejects_literature_kinds(self):
         with pytest.raises(ValueError, match="certificate criteria"):

@@ -4,13 +4,16 @@ import csv
 import gc
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lmsbound import cli
 from lmsbound.cli import main
 from lmsbound.ingest import parse_table
+from lmsbound.linalg import NonConvergence
 
 
 @pytest.fixture
@@ -181,6 +184,19 @@ class TestErrorbound:
     def test_bad_xi(self, runner):
         res = run(runner, "errorbound", "--model", "1A", "--xi", "-1")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--gain", "nan", "gain must be positive and finite, got nan"),
+        ("--gain", "inf", "gain must be positive and finite, got inf"),
+        ("--xi", "nan", "xi must be positive and finite, got nan"),
+        ("--xi", "inf", "xi must be positive and finite, got inf")])
+    def test_non_finite_gain_and_xi_are_input_errors(self, runner, option, value,
+                                                     message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(runner, "errorbound", "--model", "1B", option, value)
+        assert res.exit_code == 2
+        assert message in res.stderr
 
     def test_non_finite_sigma_is_input_error(self, runner):
         res = run(runner, "errorbound", "--model", "1A", "--sigma-eps", "nan")
@@ -379,6 +395,41 @@ class TestNonConvergence:
         res = run(runner, *args)
         assert res.exit_code == 3
         assert "did not converge" in res.output
+
+
+class TestErrorContract:
+    """Every input error and non-convergence, raised inside every subcommand,
+    ends in its exit code and one ``error:`` line on stderr, never a traceback."""
+
+    # Per subcommand: its arguments and a library call it makes.
+    COMMANDS = {
+        "supgain": (("supgain", "--model", "1A"), "lmsbound.report.supgain_results"),
+        "errorbound": (("errorbound", "--model", "1A"),
+                       "lmsbound.report.build_errorbound_table"),
+        "simulate": (("simulate", "--model", "1A", "--gain", "0.1"),
+                     "lmsbound.cli.run_lms"),
+        "report": (("report", "--out-dir", "unused"),
+                   "lmsbound.report.write_benchmark_reports"),
+        "ingest-check": (("ingest-check", "--data", "unused.csv", "--recipe",
+                          "column(0)"), "lmsbound.cli.parse_table"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("error, code", [
+        *((error, 2) for error in cli._INPUT_ERRORS), (NonConvergence, 3)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+    def test_exit_code_and_one_line(self, runner, monkeypatch, command, error,
+                                    code):
+        args, target = self.COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+        monkeypatch.setattr(target, fail)
+        res = run(runner, *args)
+        assert res.exit_code == code
+        lines = res.stderr.splitlines()
+        assert lines == ["error: injected failure"]
+        assert "Traceback" not in res.output
 
 
 class TestIngestCheck:

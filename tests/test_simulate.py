@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo LMS engine and least-squares baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,10 +245,17 @@ class TestBatchedKernel:
         (presets.benchmark_model("1D"), np.array([1.0, 1.0]), "standard_normal",
          [0.1, 0.3, 0.6, 2.0], 12),
         (ENSEMBLE_MODEL, np.array([0.3, -1.2, 0.8]), "standard_normal", [0.1296], 100),
+        # As the report runs 1B: its five working gains on the shared start
+        # at 1000 replications (the BLAS path of the full protocol).  0.4999
+        # and 0.3999 freeze their first replications between checkpoints 5
+        # and 60 and settle between 257 and 3000; the other three stay live.
+        (presets.benchmark_model("1B"), np.array([1.0, 1.0]),
+         presets.protocol_init(7, 2), [0.1609, 0.1537, 0.4999, 0.3999, 0.1249],
+         1000),
     ], ids=["m2-random-init", "m2-fixed-init-zero-star", "m3-random-init-zero-star",
             "m3-fixed-init", "m2-one-replication", "m2-two-replications",
             "m3-one-replication", "m3-two-replications", "m1", "m5",
-            "m2-singular-1D", "m3-ensemble-law"])
+            "m2-singular-1D", "m3-ensemble-law", "m2-1B-working-gains-1000"])
     def test_each_gain_matches_reference_loop(self, model, theta_star, init,
                                               gains, reps):
         chunk = simulate._CHUNK_STEPS
@@ -313,9 +321,81 @@ class TestBatchedKernel:
                 assert a.diverged_count == b.diverged_count
                 assert a.settled_step == b.settled_step
 
+    def test_start_beyond_guard_settles_on_step_one(self):
+        cfg = config(init=np.array([1e7, 0.0]), k_max=300, checkpoints=(1, 300))
+        batch = run_lms(cfg, gains=[0.1, 5.0])
+        for gain, result in zip([0.1, 5.0], batch):
+            sq, diverged, checkpoint_mse, settled_at = reference_run_lms(
+                replace(cfg, gain=gain))
+            assert np.array_equal(result.per_replication, sq)
+            assert result.checkpoint_mse == checkpoint_mse
+            assert result.diverged_count == diverged == 8
+            assert result.settled_step == settled_at == 1
+        # A start whose squared norm overflows keeps the overflow value.
+        (result,) = run_lms(replace(cfg, init=np.array([1e160, 0.0])), gains=[0.1])
+        assert np.all(result.per_replication == 1e18)
+        assert result.settled_step == 1
+
+    def test_error_recursion_matches_lms_with_frozen_rows(self):
+        # 1B at 1000 replications: 0.4999 and 0.3999 freeze row by row
+        # (parked rows, checkpoints around the freezes); 0.1537 stays live.
+        cfg = config("1B", theta_star=np.zeros(2), k_max=2 * simulate._CHUNK_STEPS + 9,
+                     replications=1000, init=np.array([0.4, -1.1]),
+                     checkpoints=(1, 10, 40, 256, 300, 400, 521))
+        gains = [0.1537, 0.4999, 0.3999]
+        direct = run_lms(cfg, gains=gains)
+        errors = run_error_recursion(cfg, gains=gains)
+        assert 0 < direct[1].diverged_count and 0 < direct[2].diverged_count
+        for a, b in zip(direct, errors):
+            assert np.array_equal(a.per_replication, b.per_replication)
+            assert a.checkpoint_mse == b.checkpoint_mse
+            assert a.diverged_count == b.diverged_count
+            assert a.settled_step == b.settled_step
+
     def test_gains_are_validated(self):
         with pytest.raises(ValueError, match="gain"):
             run_lms(config(), gains=[0.1, -0.2])
+
+
+def _special_rows(m):
+    """Every m-vector over values that stress a dot product's rounding."""
+    values = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                       np.inf, -np.inf, np.nan, 1e300, -3e299, 1e-300,
+                       1.3e154, -1.5, 1.0 + 2.0**-52])
+    grid = np.meshgrid(*([values] * m), indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1)
+
+
+class TestRowDot:
+    # The m <= 2 reductions must reproduce np.einsum for every input the
+    # kernel can meet, overflow and NaN included, in each shape it uses.
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equals_einsum_on_special_values(self, m):
+        rows = _special_rows(m)
+        a = np.repeat(rows, len(rows), axis=0)      # every pair of rows
+        b = np.tile(rows, (len(rows), 1))
+        g_a = a.reshape(2, -1, m)                    # (G, R, m)
+        g_b = b.reshape(2, -1, m)
+        cases = [("gri,ri->gr", g_a, g_b[0]), ("gri,gri->gr", g_a, g_b)]
+        cases += [("lri,i->lr", g_a, row) for row in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for subscripts, x, y in cases:
+                assert np.array_equal(simulate._row_dot(subscripts, x, y),
+                                      np.einsum(subscripts, x, y), equal_nan=True)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_equals_einsum_on_random_magnitudes(self, m):
+        rng = np.random.default_rng(m)
+
+        def draw(*shape):
+            return (rng.standard_normal(shape)
+                    * 10.0 ** rng.integers(-300, 300, size=shape))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for subscripts, x, y in (("gri,ri->gr", draw(5, 1000, m), draw(1000, m)),
+                                     ("gri,gri->gr", draw(3, 7, m), draw(3, 7, m)),
+                                     ("lri,i->lr", draw(256, 2, m), draw(m))):
+                assert np.array_equal(simulate._row_dot(subscripts, x, y),
+                                      np.einsum(subscripts, x, y), equal_nan=True)
 
 
 class TestDivergenceGuard:
