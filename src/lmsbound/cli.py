@@ -45,7 +45,9 @@ from .moments import (GaussianSpec, MomentModel, UnsupportedOperator,
 from .report import CRITERIA_ORDER, Cell, Table
 from .simulate import SimConfig, run_lms
 
-# Every library error for bad input is a ValueError, except these two.
+# Every library error for bad input is a ValueError, except the last two;
+# the CLI's own input checks raise ValueError too, so that each prints one
+# ``error:`` line (click's own parse errors keep click's usage block).
 _INPUT_ERRORS = (ValueError, OSError, ColumnOutOfRange, UnsupportedOperator)
 
 # Config keys named unlike the parameter they set.
@@ -82,7 +84,8 @@ def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError:
-        raise click.UsageError(f"bad vector {text!r}; expected comma-separated numbers")
+        raise ValueError(
+            f"bad vector {text!r}; expected comma-separated numbers") from None
 
 
 def _load_moments_file(path: str) -> MomentModel:
@@ -100,17 +103,17 @@ def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
     sources = [model is not None, gaussian, moments_file is not None,
                data is not None]
     if sum(sources) != 1:
-        raise click.UsageError(
+        raise ValueError(
             "exactly one moment source is required: --model, "
             "--sigma1/--sigma2/--rho, --moments-file, or --data/--recipe")
     if model is not None:
         try:
             return model, presets.benchmark_model(model)
         except KeyError as exc:
-            raise click.UsageError(str(exc))
+            raise ValueError(exc.args[0]) from None
     if gaussian:
         if sigma1 is None or sigma2 is None:
-            raise click.UsageError("--sigma1 and --sigma2 are both required")
+            raise ValueError("--sigma1 and --sigma2 are both required")
         spec = GaussianSpec.from_two_dim(sigma1, sigma2,
                                          0.0 if rho is None else rho)
         return f"gaussian({sigma1},{sigma2},{spec.covariance[0,1]/ (sigma1*sigma2):g})", \
@@ -118,7 +121,7 @@ def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
     if moments_file is not None:
         return Path(moments_file).name, _load_moments_file(moments_file)
     if recipe is None:
-        raise click.UsageError("--data needs --recipe")
+        raise ValueError("--data needs --recipe")
     raw = parse_table(data)
     design = build_design(raw, RegressorRecipe.parse(recipe), response_col)
     return Path(data).name, empirical_moment_model(design)
@@ -187,11 +190,8 @@ def supgain(criteria, mode, fmt, **source):
     name, moment_model = _resolve_model(**source)
     kinds = list(CRITERIA_ORDER)
     if criteria:
-        try:
-            kinds = [CriterionKind.from_name(tok.strip())
-                     for tok in criteria.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        kinds = [CriterionKind.from_name(tok.strip())
+                 for tok in criteria.split(",") if tok.strip()]
     results = report.supgain_results((name,), kinds, mode=mode,
                                      models={name: moment_model})
     table = Table(f"supgain:{name}",
@@ -231,7 +231,7 @@ def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
     """Certified rates and asymptotic error bounds at the working gain."""
     name, moment_model = _resolve_model(**source)
     if not (xi > 0 and np.isfinite(xi)):
-        raise click.UsageError(f"xi must be positive and finite, got {xi}")
+        raise ValueError(f"xi must be positive and finite, got {xi}")
     table = report.build_errorbound_table(
         (name,), models={name: moment_model}, simulate=False, mode=mode,
         xi=xi, sigma_eps=sigma_eps, gain=gain)
@@ -256,7 +256,7 @@ def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
     """Monte Carlo LMS run; echoes the resolved protocol for reproducibility."""
     name, moment_model = _resolve_model(**source)
     if gain is None:
-        raise click.UsageError("--gain is required for simulate")
+        raise ValueError("--gain is required for simulate")
     dim = moment_model.dim
     star = (_parse_vector(theta_star) if theta_star is not None
             else presets.protocol_theta_star(dim))
@@ -338,7 +338,7 @@ def report_command(out_dir, seed, reps, iters, mode, skip_simulation):
 def ingest_check(data, recipe, response_col, out, fmt):
     """Parse a table, build the design matrix, summarize its moments."""
     if data is None or recipe is None:
-        raise click.UsageError("--data and --recipe are required")
+        raise ValueError("--data and --recipe are required")
     raw = parse_table(data)
     parsed = RegressorRecipe.parse(recipe)
     design = build_design(raw, parsed, response_col)

@@ -8,21 +8,37 @@ Replication ``r`` draws from a counter-based Philox generator seeded with
 reproduces the same numbers.  Per replication the draw order is fixed: the
 initial estimate (m standard normals, when the init law is random), then per
 step m standard normals for the regressor and one for the measurement noise.
-Replications are reduced in index order; the engine is single-process and
-fully deterministic.
+Replications are reduced in index order, and every result is fully
+deterministic: it does not depend on the chunk length or on which process
+draws the streams.
 
-Chunks
-------
-Each run draws ``_CHUNK_STEPS`` (256) steps at a time, in place, into one
-reused replication-major (R, chunk, m+1) buffer: 6 MB at R = 1000 and
-m = 2.  The streams do not depend on the chunk length.  The work that does
-not depend on the state is done once per chunk, step-major: the (chunk, R,
-m) regressors as a stack of the per-step (R, m) @ (m, m) products, the
-(chunk, R) noise, and for ``run_lms`` the measurements z.  The step loop
-then reads one contiguous (R, m) and (R,) slice per step and updates the
-state in place.  The products stay per step on purpose: one (chunk, m) @
-(m, m) product per replication takes another BLAS path when R = 1 and
-differs from the per-step product in the last bits.
+Chunks and the draw helper
+--------------------------
+Each run draws ``_CHUNK_STEPS`` (128) steps at a time.  Chunk c goes into
+slot c % 2 of a replication-major (2, R, chunk, m+1) buffer of shared
+memory (``mmap``), 3 MB per slot at R = 1000 and m = 2.  Once the parent
+has drawn the initial estimates, it forks one helper process, which owns
+the generators from then on.  The helper fills chunk 0 at once and each
+later chunk on a one-byte request token, works out each chunk's length
+itself, and answers with a one-byte ready token.  ``_draw_chunk`` waits
+for chunk c and at once asks for chunk c + 1, which the helper draws into
+the other slot while the parent steps chunk c: the draws overlap the
+update loop.  When the run ends, exits early or raises, the parent closes
+its pipe ends, kills the helper with SIGKILL and reaps it.  The helper
+only fills and signals, and ends with ``os._exit``; it also ends on EOF,
+so a helper whose parent died ends within one chunk.  It calls no BLAS
+routine and takes no lock that another thread of the parent may hold, so
+forking a parent that runs BLAS threads is safe.  Where ``os.fork`` does
+not exist, ``_draw_chunk`` calls the same fill function inline.
+
+The work that does not depend on the state is done once per chunk,
+step-major: the (chunk, R, m) regressors as a stack of the per-step
+(R, m) @ (m, m) products, the (chunk, R) noise, and for ``run_lms`` the
+measurements z.  The step loop then reads one contiguous (R, m) and (R,)
+slice per step and updates the state in place.  The products stay per
+step on purpose: one (chunk, m) @ (m, m) product per replication takes
+another BLAS path when R = 1 and differs from the per-step product in the
+last bits.
 
 Shared streams across gains
 ---------------------------
@@ -75,6 +91,8 @@ handles exactly singular covariances without any jitter.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -86,7 +104,7 @@ from .moments import DataMatrix, MomentModel
 DIVERGENCE_GUARD = 1e12
 BOUNDED_THRESHOLD = 10.0
 DIVERGED_THRESHOLD = 1e8
-_CHUNK_STEPS = 256
+_CHUNK_STEPS = 128
 
 
 class RankDeficient(ValueError):
@@ -199,16 +217,97 @@ def _initial_estimates(config: SimConfig,
     return np.tile(config.init, (config.replications, 1))
 
 
-def _draw_chunk(gens: list[np.random.Generator], buf: np.ndarray,
-                length: int) -> np.ndarray:
-    """Fill ``buf[r, :length]`` with replication r's next standard normals.
+class _Streams:
+    """The replication streams, chunk by chunk, in a two-slot shared buffer.
 
-    ``buf`` has shape (R, chunk, m+1); the last column is the noise draw.
-    Each stream is consumed exactly as by drawing a fresh (length, m+1) array.
+    Entering forks the helper process that owns ``gens`` (see "Chunks and
+    the draw helper" above); leaving closes the pipes and kills and reaps
+    the helper.  Without ``os.fork`` there is no helper.
     """
-    for r, g in enumerate(gens):
-        g.standard_normal(out=buf[r, :length])
-    return buf
+
+    def __init__(self, gens: list[np.random.Generator], k_max: int,
+                 chunk: int, m: int):
+        # Imported here, not with the module: loading the extension moved
+        # the harness's setup_s (fresh-interpreter import and model build)
+        # by about 7%.
+        import mmap
+        self.gens, self.k_max, self.chunk = gens, k_max, chunk
+        shape = (2, len(gens), chunk, m + 1)
+        self.slots = np.frombuffer(
+            mmap.mmap(-1, 8 * int(np.prod(shape)))).reshape(shape)
+        self.drawn = 0          # chunks handed out by _draw_chunk
+        self.pid: Optional[int] = None
+        self.fds: list[int] = []
+
+    def fill(self, index: int) -> None:
+        """Draw chunk ``index`` into its slot.
+
+        Replication r's rows get its next standard normals, the last column
+        being the noise draw; each stream is consumed exactly as by drawing
+        a fresh (length, m+1) array.
+        """
+        length = min(self.chunk, self.k_max - index * self.chunk)
+        for r, g in enumerate(self.gens):
+            g.standard_normal(out=self.slots[index % 2, r, :length])
+
+    def __enter__(self) -> "_Streams":
+        if hasattr(os, "fork"):
+            try:
+                self._fork()
+            except BaseException:
+                self.__exit__()
+                raise
+        return self
+
+    def _fork(self) -> None:
+        self.fds += os.pipe()   # requests, parent to helper
+        self.fds += os.pipe()   # ready tokens, helper to parent
+        request_in, self.request, self.ready, ready_out = self.fds
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(self.request)
+                os.close(self.ready)
+                index = 0
+                while True:
+                    self.fill(index)
+                    os.write(ready_out, b"\0")
+                    if not os.read(request_in, 1):
+                        break
+                    index += 1
+            finally:
+                os._exit(0)
+        # The parent keeps only its own ends, so a helper that dies
+        # reads as EOF on ``ready``.
+        self.fds = [self.request, self.ready]
+        os.close(request_in)
+        os.close(ready_out)
+
+    def __exit__(self, *exc) -> None:
+        while self.fds:
+            os.close(self.fds.pop())
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _draw_chunk(streams: _Streams) -> np.ndarray:
+    """The next chunk's (R, chunk, m+1) slot, once it is filled.
+
+    With a helper this waits for its token, then asks at once for the chunk
+    after, which the helper draws into the other slot meanwhile.
+    """
+    index = streams.drawn
+    streams.drawn += 1
+    if streams.pid is None:
+        streams.fill(index)
+    else:
+        if not os.read(streams.ready, 1):
+            raise RuntimeError("the Monte Carlo draw helper process ended early")
+        if streams.drawn * streams.chunk < streams.k_max:
+            os.write(streams.request, b"\0")
+    return streams.slots[index % 2]
 
 
 def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
@@ -307,44 +406,49 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
         [None] * len(configs))
     checkpoints = set(config.checkpoints)
     checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
-    buf = np.empty((config.replications, min(_CHUNK_STEPS, k_max), m + 1))
+    chunk = min(_CHUNK_STEPS, k_max)
     # A gain frozen from the start leaves the batch on step 1.
     sweep = not live.all()
 
     step_no = 0
-    while step_no < k_max and len(order):
-        length = min(buf.shape[1], k_max - step_no)
-        draws = _draw_chunk(gens, buf, length)
-        # One stacked (R, m) @ (m, m) product per step, as the per-step
-        # loop computes it: a (length, m) @ (m, m) product per replication
-        # takes another BLAS path at R = 1 and differs in the last bits.
-        hs = np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t)
-        zs = measure(hs, sigma * np.ascontiguousarray(draws[:, :length, m].T))
-        for i in range(length):
-            sq = step(state, hs[i], zs[i], scale)
-            step_no += 1
-            # Parked rows read 0, so a maximum within the guard means that
-            # no live row crossed it; NaN fails the comparison and freezes.
-            if sweep or not sq.max() <= DIVERGENCE_GUARD:
-                sweep = False
-                crossed = ~(sq <= DIVERGENCE_GUARD)
-                np.copyto(frozen, np.where(np.isfinite(sq), sq, 1e18), where=crossed)
-                np.copyto(state, parked, where=crossed[..., None])
-                live &= ~crossed
-                keep = live.any(axis=1)
-                if not keep.all():
-                    for j in np.flatnonzero(~keep):
-                        finals[order[j]] = frozen[j], live[j], step_no
-                    state, sq, live, frozen = (
-                        state[keep], sq[keep], live[keep], frozen[keep])
-                    gain, order = gain[keep], order[keep]
-                scale = gain * live
-            if step_no in checkpoints:
-                merged = np.where(live, sq, frozen)
-                for j, index in enumerate(order):
-                    checkpoint_mse[index][step_no] = float(np.mean(merged[j]))
-            if not len(order):
-                break
+    with _Streams(gens, k_max, chunk, m) as streams:
+        while step_no < k_max and len(order):
+            length = min(chunk, k_max - step_no)
+            draws = _draw_chunk(streams)
+            # One stacked (R, m) @ (m, m) product per step, as the per-step
+            # loop computes it: a (length, m) @ (m, m) product per
+            # replication takes another BLAS path at R = 1 and differs in
+            # the last bits.
+            hs = np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t)
+            zs = measure(hs, sigma * np.ascontiguousarray(draws[:, :length, m].T))
+            for i in range(length):
+                sq = step(state, hs[i], zs[i], scale)
+                step_no += 1
+                # Parked rows read 0, so a maximum within the guard means
+                # that no live row crossed it; NaN fails the comparison and
+                # freezes.
+                if sweep or not sq.max() <= DIVERGENCE_GUARD:
+                    sweep = False
+                    crossed = ~(sq <= DIVERGENCE_GUARD)
+                    np.copyto(frozen, np.where(np.isfinite(sq), sq, 1e18),
+                              where=crossed)
+                    np.copyto(state, parked, where=crossed[..., None])
+                    live &= ~crossed
+                    keep = live.any(axis=1)
+                    if not keep.all():
+                        for j in np.flatnonzero(~keep):
+                            finals[order[j]] = frozen[j], live[j], step_no
+                        state, sq, live, frozen = (
+                            state[keep], sq[keep], live[keep], frozen[keep])
+                        gain, order = gain[keep], order[keep]
+                    scale = gain * live
+                if step_no in checkpoints:
+                    merged = np.where(live, sq, frozen)
+                    for j, index in enumerate(order):
+                        checkpoint_mse[index][step_no] = float(
+                            np.mean(merged[j]))
+                if not len(order):
+                    break
 
     merged = np.where(live, sq, frozen)
     for j, index in enumerate(order):

@@ -4,11 +4,15 @@ import csv
 import gc
 import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmsbound import cli
 from lmsbound.cli import main
@@ -431,6 +435,42 @@ class TestErrorContract:
         assert lines == ["error: injected failure"]
         assert "Traceback" not in res.output
 
+    SOURCES = ("exactly one moment source is required: --model, "
+               "--sigma1/--sigma2/--rho, --moments-file, or --data/--recipe")
+
+    # The CLI's own input checks, one per check.
+    @pytest.mark.parametrize("args, message", [
+        (("supgain",), SOURCES),
+        (("errorbound", "--model", "1A", "--sigma1", "1", "--sigma2", "1"), SOURCES),
+        (("supgain", "--model", "9Z"),
+         "unknown benchmark '9Z'; expected one of 1A, 1B, 1C, 1D, reed"),
+        (("supgain", "--sigma1", "1"), "--sigma1 and --sigma2 are both required"),
+        (("supgain", "--data", "rows.prn"), "--data needs --recipe"),
+        (("supgain", "--model", "1A", "--criteria", "widrow"),
+         "unknown criterion 'widrow'; expected one of ['theorem1', 'corollary2', "
+         "'widrow_lambda_max', 'widrow_trace', 'zhu_criterion']"),
+        (("errorbound", "--model", "1B", "--xi", "nan"),
+         "xi must be positive and finite, got nan"),
+        (("simulate", "--model", "1A"), "--gain is required for simulate"),
+        (("simulate", "--model", "1A", "--gain", "0.1", "--theta-star", "1,x"),
+         "bad vector '1,x'; expected comma-separated numbers"),
+        (("simulate", "--model", "1A", "--gain", "0.1", "--init", "0;1"),
+         "bad vector '0;1'; expected comma-separated numbers"),
+        (("ingest-check", "--data", "rows.prn"), "--data and --recipe are required"),
+    ], ids=["no-source", "two-sources", "unknown-model", "one-sigma",
+            "data-without-recipe", "unknown-criterion", "xi", "no-gain",
+            "theta-star", "init", "ingest-without-recipe"])
+    def test_cli_input_checks_print_one_line(self, runner, args, message):
+        res = run(runner, *args)
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [f"error: {message}"]
+        assert "Usage:" not in res.output
+
+    def test_click_parse_errors_keep_the_usage_block(self, runner):
+        res = run(runner, "errorbound", "--model", "1A", "--xi", "abc")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Usage:")
+
 
 class TestIngestCheck:
     def make_data(self, tmp_path):
@@ -480,6 +520,68 @@ class TestIngestCheck:
         res = run(runner, "ingest-check", "--data", str(path),
                   "--recipe", "column(9)")
         assert res.exit_code == 2
+
+
+_BAD_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "", "--",
+                                "0x10", "1,5", "1e-320", "\t"])
+_BAD_TERMS = st.sampled_from(["constant(1e999)", "col(0)", "column(-1)", "column(x)",
+                              "product(0)", "constant()", "", "column(0"])
+
+
+@st.composite
+def ingest_inputs(draw):
+    """A table file's suffix and text, a recipe and a response column.
+
+    Mostly valid: a rectangular numeric table and terms on its columns,
+    with a header, ragged rows, bad tokens, out-of-range columns and bad
+    terms mixed in now and then.
+    """
+    def rarely(strategy, usual, odds=30):
+        return draw(strategy) if draw(st.integers(0, odds)) == 0 else usual
+
+    csv_format = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    lines = [rarely(st.sampled_from(["a b c", "x,y", "1 b", "# note"]), "", 3)]
+    for _ in range(draw(st.integers(0, 12))):
+        count = rarely(st.integers(0, 5), width)
+        value = st.one_of(st.floats(-1e3, 1e3), st.integers(-9, 9)).map(repr)
+        lines.append((", " if csv_format else " ").join(
+            rarely(_BAD_TOKENS, draw(value), 200) for _ in range(count)))
+    column = st.integers(0, rarely(st.just(5), width - 1))
+    term = st.one_of(
+        column.map("column({})".format),
+        column.map("square({})".format),
+        st.tuples(column, column).map(lambda ij: "product({}, {})".format(*ij)),
+        st.sampled_from(["constant(1)", "constant(-2.5)", "constant(0)"]))
+    terms = draw(st.lists(term, min_size=rarely(st.just(0), 1), max_size=4))
+    terms += rarely(st.lists(_BAD_TERMS, min_size=1, max_size=2), [])
+    response = draw(st.one_of(st.none(), column, st.just(-1)))
+    return (".csv" if csv_format else ".prn", "\n".join(lines) + "\n",
+            ", ".join(terms), response)
+
+
+class TestIngestFuzz:
+    """Random tables and recipes through the two commands that read them:
+    exit 0 or 2, never a traceback."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(inputs=ingest_inputs(), supgain=st.booleans())
+    def test_exit_code_and_no_traceback(self, inputs, supgain):
+        suffix, text, recipe, response = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"rows{suffix}"
+            path.write_text(text)
+            args = ["supgain" if supgain else "ingest-check", "--data", str(path),
+                    "--recipe", recipe]
+            if response is not None:
+                args += ["--response-col", str(response)]
+            res = CliRunner().invoke(main, args)
+        # supgain may also end in the documented numerical failure (exit 3).
+        assert res.exit_code in ((0, 2, 3) if supgain else (0, 2)), (
+            args, text, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            args, text, res.output)
+        assert "Traceback" not in res.output
 
 
 class TestInProcessInvocations:

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo LMS engine and least-squares baselines."""
 
 import math
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -298,7 +300,7 @@ class TestBatchedKernel:
         draw = simulate._draw_chunk
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args)
             return draw(*args)
         monkeypatch.setattr(simulate, "_draw_chunk", counting)
         k_max = 3 * simulate._CHUNK_STEPS
@@ -339,9 +341,11 @@ class TestBatchedKernel:
     def test_error_recursion_matches_lms_with_frozen_rows(self):
         # 1B at 1000 replications: 0.4999 and 0.3999 freeze row by row
         # (parked rows, checkpoints around the freezes); 0.1537 stays live.
-        cfg = config("1B", theta_star=np.zeros(2), k_max=2 * simulate._CHUNK_STEPS + 9,
+        chunk = simulate._CHUNK_STEPS
+        cfg = config("1B", theta_star=np.zeros(2), k_max=521,
                      replications=1000, init=np.array([0.4, -1.1]),
-                     checkpoints=(1, 10, 40, 256, 300, 400, 521))
+                     checkpoints=(1, 10, 40, chunk, chunk + 1, 2 * chunk, 300, 400,
+                                  521))
         gains = [0.1537, 0.4999, 0.3999]
         direct = run_lms(cfg, gains=gains)
         errors = run_error_recursion(cfg, gains=gains)
@@ -355,6 +359,69 @@ class TestBatchedKernel:
     def test_gains_are_validated(self):
         with pytest.raises(ValueError, match="gain"):
             run_lms(config(), gains=[0.1, -0.2])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="draws inline without os.fork")
+class TestDrawHelper:
+    def test_reaped_after_a_run(self):
+        run_lms(config(k_max=3 * simulate._CHUNK_STEPS + 5))
+        _no_child_left()
+
+    def test_reaped_after_an_early_exit(self):
+        k_max = 20 * simulate._CHUNK_STEPS
+        batch = run_lms(config(k_max=k_max, replications=200), gains=[2.0, 5.0])
+        assert all(r.settled_step < k_max for r in batch)
+        _no_child_left()
+
+    def test_reaped_when_a_step_raises(self):
+        cfg = config(k_max=5 * simulate._CHUNK_STEPS)
+        steps = []
+
+        def step(state, h, z, scale):
+            steps.append(1)
+            if len(steps) == simulate._CHUNK_STEPS + 3:
+                raise FloatingPointError("injected")
+            return np.einsum("gri,gri->gr", state, state)
+        with pytest.raises(FloatingPointError, match="injected"):
+            simulate._simulate(cfg, None, np.zeros(2), lambda hs, noise: noise, step)
+        _no_child_left()
+
+    def test_helper_exits_when_its_request_pipe_closes(self):
+        gens = simulate._make_generators(3, 4)
+        with simulate._Streams(gens, 10 * simulate._CHUNK_STEPS,
+                               simulate._CHUNK_STEPS, 2) as streams:
+            simulate._draw_chunk(streams)
+            # Point the request descriptor at /dev/null: the helper then
+            # sees EOF, as when its parent dies.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, streams.request)
+            os.close(null)
+            deadline = time.monotonic() + 30
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            while (info := os.waitid(os.P_PID, streams.pid, flags)) is None:
+                assert time.monotonic() < deadline, "helper still running"
+                time.sleep(0.01)
+            assert (info.si_code, info.si_status) == (os.CLD_EXITED, 0)
+        _no_child_left()
+
+    def test_inline_draws_without_fork_are_identical(self, monkeypatch):
+        cfg = config("1B", k_max=3 * simulate._CHUNK_STEPS + 7,
+                     checkpoints=(1, simulate._CHUNK_STEPS, 300))
+        gains = [0.1, 0.45, 0.9]
+        forked = run_lms(cfg, gains=gains)
+        monkeypatch.delattr(os, "fork")
+        with simulate._Streams(simulate._make_generators(0, 1), 5, 5, 1) as streams:
+            assert streams.pid is None
+        inline = run_lms(cfg, gains=gains)
+        for a, b in zip(forked, inline):
+            assert np.array_equal(a.per_replication, b.per_replication)
+            assert a.checkpoint_mse == b.checkpoint_mse
+            assert a.settled_step == b.settled_step
 
 
 def _special_rows(m):
