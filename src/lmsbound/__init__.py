@@ -32,7 +32,7 @@ from .report import (Table, build_errorbound_table, build_supgain_table,
                      classification_annotations, supgain_results,
                      working_gain_simulations, write_benchmark_reports)
 from .simulate import (SimBatch, SimConfig, SimResult, batch_ls, classify,
-                       recursive_ls, replay_lms, run_error_recursion,
-                       run_lms, sampling_factor)
+                       recursive_ls, run_error_recursion, run_lms,
+                       sampling_factor)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,10 @@ its pipe ends, kills the helper with SIGKILL and reaps it.  The helper
 only fills and signals, and ends with ``os._exit``; it also ends on EOF,
 so a helper whose parent died ends within one chunk.  It calls no BLAS
 routine and takes no lock that another thread of the parent may hold, so
-forking a parent that runs BLAS threads is safe.  Where ``os.fork`` does
+forking a parent that runs BLAS threads is safe.  Python 3.12 and later
+warn with a ``DeprecationWarning`` on any fork of a threaded process; the
+fork ignores that one warning, as a warning turned into an error there
+would lose the pid of a helper already running.  Where ``os.fork`` does
 not exist, ``_draw_chunk`` calls the same fill function inline.
 
 The work that does not depend on the state is done once per chunk,
@@ -93,6 +96,7 @@ from __future__ import annotations
 
 import os
 import signal
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -263,7 +267,14 @@ class _Streams:
         self.fds += os.pipe()   # requests, parent to helper
         self.fds += os.pipe()   # ready tokens, helper to parent
         request_in, self.request, self.ready, ready_out = self.fds
-        self.pid = os.fork()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns after forking a threaded process, such as
+            # one with an OpenBLAS pool, which is safe here; raised as an
+            # error it would lose the pid of a helper already running.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                DeprecationWarning)
+            self.pid = os.fork()
         if self.pid == 0:
             try:
                 os.close(self.request)
@@ -353,13 +364,18 @@ def _row_dot(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return p[..., 0] + p[..., 1] if m == 2 else p[..., 0]
 
 
-def _per_component(values: np.ndarray, m: int) -> np.ndarray:
-    """(G, R) values repeated m times along a new last axis.
+def _times_rows(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``values[..., None] * h``: each (G, R) value times its row of the (R, m) h.
 
-    Multiplying the result by an (R, m) array runs as one loop over R*m
-    elements, where broadcasting ``values[..., None]`` loops over m per row.
+    The values are copied into each component column and multiplied in
+    place, which gives the same products in a few long loops, where
+    broadcasting ``values[..., None]`` runs an inner loop of m per row.
     """
-    return values.repeat(m, axis=-1).reshape(*values.shape, m)
+    out = np.empty(values.shape + h.shape[-1:])
+    for i in range(h.shape[-1]):
+        out[..., i] = values
+    out *= h
+    return out
 
 
 # A diverging replication may overflow before the guard freezes it.
@@ -471,17 +487,19 @@ def run_lms(config: SimConfig,
     ``SimResult`` per gain comes back (``config.gain`` is then unused); each
     is bit-identical to a run of that gain alone.
     """
-    m, theta_star = config.model.dim, config.theta_star
-    star_rows = np.tile(theta_star, (config.replications, 1))
+    m = config.model.dim
+    # theta* once per replication: a product with it then loops over whole
+    # rows, where broadcasting the (m,) vector loops over m per row.
+    star_rows = np.tile(config.theta_star, (config.replications, 1))
 
     def measure(hs, noise):
-        return _row_dot("lri,i->lr", hs, theta_star) + noise
+        return _row_dot("lri,ri->lr", hs, star_rows) + noise
 
     def step(theta, h, z, scale):
         resid = _row_dot("gri,ri->gr", theta, h)
         resid -= z
         resid *= scale
-        theta -= _per_component(resid, m) * h
+        theta -= _times_rows(resid, h)
         err = theta - star_rows
         return _row_dot("gri,gri->gr", err, err)
     return _simulate(config, gains, np.zeros(m), measure, step)
@@ -495,30 +513,14 @@ def run_error_recursion(config: SimConfig,
     Consumes streams identical to ``run_lms`` and must agree with it:
     bit for bit when theta* = 0, to rounding error otherwise.
     """
-    m = config.model.dim
-
     def step(theta_err, h, eps, scale):
         resid = _row_dot("gri,ri->gr", theta_err, h)
         resid -= eps
         resid *= scale
-        theta_err -= _per_component(resid, m) * h
+        theta_err -= _times_rows(resid, h)
         return _row_dot("gri,gri->gr", theta_err, theta_err)
     return _simulate(config, gains, config.theta_star,
                      lambda hs, noise: noise, step)
-
-
-def replay_lms(data: DataMatrix, gain: float,
-               theta0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Run the LMS recursion once over recorded rows and responses, in order."""
-    if data.responses is None:
-        raise ValueError("replay needs a response column")
-    m = data.dim
-    theta = np.zeros(m) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (m,):
-        raise ValueError(f"theta0 has shape {theta.shape}, data dim is {m}")
-    for h, z in zip(data.rows, data.responses):
-        theta = theta - gain * (float(h @ theta) - float(z)) * h
-    return theta
 
 
 def batch_ls(data: DataMatrix) -> np.ndarray:

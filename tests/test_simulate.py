@@ -1,8 +1,13 @@
 """Tests for the Monte Carlo LMS engine and least-squares baselines."""
 
+import contextlib
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +24,6 @@ from lmsbound.simulate import (
     batch_ls,
     classify,
     recursive_ls,
-    replay_lms,
     run_error_recursion,
     run_lms,
     sampling_factor,
@@ -366,6 +370,37 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__file__)))
+
+
+def _source_env(base=None):
+    """``base`` (by default this environment) with lmsbound imported from source."""
+    return dict(os.environ if base is None else base, PYTHONPATH=SRC)
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.per_replication, b.per_replication)
+    assert a.checkpoint_mse == b.checkpoint_mse
+    assert a.settled_step == b.settled_step
+    assert a.diverged_count == b.diverged_count
+    assert a.terminal_mse == b.terminal_mse
+    assert a.terminal_se == b.terminal_se
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="draws inline without os.fork")
 class TestDrawHelper:
     def test_reaped_after_a_run(self):
@@ -389,6 +424,21 @@ class TestDrawHelper:
             return np.einsum("gri,gri->gr", state, state)
         with pytest.raises(FloatingPointError, match="injected"):
             simulate._simulate(cfg, None, np.zeros(2), lambda hs, noise: noise, step)
+        _no_child_left()
+
+    def test_parent_raises_when_the_helper_fails(self, monkeypatch):
+        # The helper raises while drawing its third chunk; the run would
+        # otherwise step for many minutes.
+        parent = os.getpid()
+        fill = simulate._Streams.fill
+
+        def failing_fill(streams, index):
+            if os.getpid() != parent and index == 2:
+                raise FloatingPointError("injected")
+            fill(streams, index)
+        monkeypatch.setattr(simulate._Streams, "fill", failing_fill)
+        with _deadline(30), pytest.raises(RuntimeError, match="helper process ended"):
+            run_lms(config(k_max=10**8))
         _no_child_left()
 
     def test_helper_exits_when_its_request_pipe_closes(self):
@@ -424,6 +474,71 @@ class TestDrawHelper:
             assert a.settled_step == b.settled_step
 
 
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="draws inline without os.fork")
+class TestForkSafety:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    @pytest.mark.parametrize("pinned", [True, False],
+                             ids=["one-blas-thread", "default-blas-threads"])
+    def test_forked_run_in_a_process_running_blas_threads(self, monkeypatch, tmp_path,
+                                                         pinned):
+        script = """
+import sys
+import numpy as np
+from lmsbound import presets, simulate
+a = np.random.default_rng(0).standard_normal((400, 400))
+a @ a    # starts the BLAS thread pool, if there is one, before the fork
+with open("/proc/self/status") as status:
+    print([line.split()[1] for line in status if line.startswith("Threads:")][0])
+batch = simulate.run_lms(simulate.SimConfig(
+    model=presets.benchmark_model("1C"), theta_star=np.ones(2), gain=0.1,
+    k_max=600, replications=1000, master_seed=4), gains=[0.1, 0.3, 0.45])
+np.save(sys.argv[1], np.stack([r.per_replication for r in batch]))
+"""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        if pinned:
+            env.update(dict.fromkeys(BLAS_VARIABLES, "1"))
+        out = tmp_path / "rows.npy"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              env=_source_env(env), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        threads = int(proc.stdout.split()[0])
+        if not pinned and (os.cpu_count() or 1) > 1:
+            assert threads > 1, "the BLAS thread pool did not start"
+        monkeypatch.delattr(os, "fork")
+        alone = run_lms(SimConfig(
+            model=presets.benchmark_model("1C"), theta_star=np.ones(2), gain=0.1,
+            k_max=600, replications=1000, master_seed=4), gains=[0.1, 0.3, 0.45])
+        assert np.array_equal(np.load(out),
+                              np.stack([r.per_replication for r in alone]))
+
+    def test_fork_warning_of_a_threaded_process_is_ignored(self, monkeypatch):
+        # Python >= 3.12 warns in the parent after forking a threaded process.
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                              "use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+        cfg = config("1B", k_max=300)
+        gains = [0.1, 0.45, 0.9]
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forked = run_lms(cfg, gains=gains)
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        for a, b in zip(forked, run_lms(cfg, gains=gains)):
+            _assert_same(a, b)
+
+
 def _special_rows(m):
     """Every m-vector over values that stress a dot product's rounding."""
     values = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
@@ -443,8 +558,9 @@ class TestRowDot:
         b = np.tile(rows, (len(rows), 1))
         g_a = a.reshape(2, -1, m)                    # (G, R, m)
         g_b = b.reshape(2, -1, m)
-        cases = [("gri,ri->gr", g_a, g_b[0]), ("gri,gri->gr", g_a, g_b)]
-        cases += [("lri,i->lr", g_a, row) for row in rows]
+        n = len(rows)
+        cases = [("gri,ri->gr", g_a, g_b[0]), ("gri,gri->gr", g_a, g_b),
+                 ("lri,ri->lr", a.reshape(n, n, m), rows)]   # (L, R, m) measurements
         with np.errstate(over="ignore", invalid="ignore"):
             for subscripts, x, y in cases:
                 assert np.array_equal(simulate._row_dot(subscripts, x, y),
@@ -460,9 +576,25 @@ class TestRowDot:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for subscripts, x, y in (("gri,ri->gr", draw(5, 1000, m), draw(1000, m)),
                                      ("gri,gri->gr", draw(3, 7, m), draw(3, 7, m)),
-                                     ("lri,i->lr", draw(256, 2, m), draw(m))):
+                                     ("lri,ri->lr", draw(256, 2, m), draw(2, m))):
                 assert np.array_equal(simulate._row_dot(subscripts, x, y),
                                       np.einsum(subscripts, x, y), equal_nan=True)
+
+
+class TestTimesRows:
+    # The update's outer product, formed column by column, gives the
+    # broadcast product's bits, for one gain and for several.
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", [(1, 50), (3, 500)], ids=["one_gain", "gains"])
+    def test_equals_broadcast_product(self, m, shape):
+        rng = np.random.default_rng(m)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200, size=shape)
+        h = rng.standard_normal((shape[1], m)) * 10.0 ** rng.integers(-200, 200,
+                                                                      size=(shape[1], m))
+        values[0, :3] = [np.inf, np.nan, -0.0]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert np.array_equal(simulate._times_rows(values, h), values[..., None] * h,
+                                  equal_nan=True)
 
 
 class TestDivergenceGuard:
@@ -500,24 +632,6 @@ class TestFrozenComponent:
         res = run_lms(config("1D", gain=0.2, sigma_eps=0.0,
                              init=np.array([2.0, 0.0]), k_max=500))
         assert np.all(res.per_replication == 2.0)
-
-
-class TestReplay:
-    def test_hand_example(self):
-        data = DataMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                          np.array([1.0, 1.0]))
-        theta = replay_lms(data, gain=0.5)
-        assert np.array_equal(theta, np.array([0.5, 0.5]))
-
-    def test_needs_responses(self):
-        data = DataMatrix(np.eye(2))
-        with pytest.raises(ValueError, match="response"):
-            replay_lms(data, gain=0.1)
-
-    def test_theta0_shape(self):
-        data = DataMatrix(np.eye(2), np.ones(2))
-        with pytest.raises(ValueError, match="theta0"):
-            replay_lms(data, gain=0.1, theta0=np.zeros(3))
 
 
 def synthetic_regression(seed, n=200, m=4):
