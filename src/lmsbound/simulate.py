@@ -34,58 +34,80 @@ fork ignores that one warning, as a warning turned into an error there
 would lose the pid of a helper already running.  Where ``os.fork`` does
 not exist, ``_draw_chunk`` calls the same fill function inline.
 
-The work that does not depend on the state is done once per chunk,
-step-major: the (chunk, R, m) regressors as a stack of the per-step
-(R, m) @ (m, m) products, the (chunk, R) noise, and for ``run_lms`` the
-measurements z.  The step loop then reads one contiguous (R, m) and (R,)
-slice per step and updates the state in place.  The products stay per
-step on purpose: one (chunk, m) @ (m, m) product per replication takes
-another BLAS path when R = 1 and differs from the per-step product in the
-last bits.
+The work that does not depend on the state is done once per chunk: the
+regressors as a stack of the per-step (R, m) @ (m, m) products, the noise,
+and for ``run_lms`` the measurements z.  The products stay per step on
+purpose: one (chunk, m) @ (m, m) product per replication takes another
+BLAS path when R = 1 and differs from the per-step product in the last
+bits.  The regressors are then copied once into a component-major
+(chunk, m, 1, R) buffer, so that a step reads one contiguous (m, 1, R)
+slice.  The chunk's buffers are allocated once per run and reused.
+
+Component-major state and one update line
+-----------------------------------------
+The state is held component-major, as an (m, G, R) array: m components, G
+gains, R replications.  Component i of every gain and replication is then
+one contiguous (G, R) plane, and a step is a few whole-array numpy calls,
+whatever m is: the products of the state with the regressor (one call),
+their sum over the components (m - 1 calls), the residual minus z and
+times the scale (two calls), the residual times the regressor (one call)
+and the new state (one call), so m + 4 calls in all.  ``run_lms`` and
+``run_error_recursion`` share this one update line (``_steps``) and differ
+only in the origin of the state and the measurements (see "Recursions").
 
 Shared streams across gains
 ---------------------------
 Since the streams do not depend on the gain, ``run_lms(config, gains=...)``
-steps any number of gains over one draw of them: the state is a (G, R, m)
-array, the regressor and noise of a step are computed once for every gain,
-and each gain's result is bit-identical to running that gain alone.  A
-replication whose squared error norm exceeds 1e12 is frozen (short-
-circuited) to avoid overflow, keeping that first value beyond the guard
-(1e18 if it overflowed); the freeze threshold sits far above the 1e8
-divergence classification line so no borderline run is misclassified.  A
-gain whose replications are all frozen leaves the batch on that step (its
-``settled_step``), its later checkpoints take its frozen mean, and drawing
-stops once no gain is left.
+steps any number of gains over one draw of them, and each gain's result is
+bit-identical to running that gain alone.  A replication whose squared
+error norm exceeds 1e12 is frozen (short-circuited) to avoid overflow,
+keeping its first value beyond the guard (1e18 if it overflowed); the
+freeze threshold sits far above the 1e8 divergence classification line so
+no borderline run is misclassified.  A gain whose replications are all
+frozen leaves the batch on that step (its ``settled_step``), its later
+checkpoints take its frozen mean, and drawing stops once no gain is left.
 
-A frozen replication's value is kept in a separate (G, R) array, and its
-state is parked at zero error (theta* - origin) with scale 0, so from then
-on its squared norm reads exactly 0.  A step whose largest squared norm is
-within the guard therefore has no replication that crossed it, and the
-freeze bookkeeping runs only on the steps where a live replication does.
-The kept values are merged back in at checkpoints and at the end.
+The per-block guard
+-------------------
+Each step writes its new state into slot j of a small history buffer of
+up to ``_block_steps`` steps (32, fewer when m * G * R is large), and the
+guard reads the block's squared error norms at its end, in a few calls
+over the whole block.  A block also ends at every checkpoint and at each
+chunk end.  A frozen replication's value is kept in a separate (G, R)
+array, and its state is parked at zero error (theta* - origin) with scale
+0, so from then on its squared norm reads exactly 0.  A block whose
+largest norm is within the guard therefore has no replication that
+crossed it.  Otherwise (NaN included) each crossing replication is frozen
+at the value and step of its first crossing within the block and parked,
+and the gains left without a live replication leave the batch.  This
+gives the bits of a guard read on every step: replications never
+interact, and a frozen replication's later trajectory, which the block
+went on stepping, is discarded.  The kept values are merged back in at
+checkpoints and at the end.
 
 Exact row reductions
 --------------------
-The per-step dot products over the m components (the residuals, the
-squared norms and ``run_lms``'s measurements) go through ``_row_dot``.  For
-m <= 2 it multiplies elementwise and adds the component columns, which is
-bit-identical to ``np.einsum``: a sum of two rounded products is rounded
-once, and IEEE addition is commutative, so every summation order gives the
-same value.  The one possible difference is the sign of an exact zero,
-which ``+``, ``-`` and ``*`` cannot turn into a different value.  For
-m >= 3 the order matters, and numpy's SIMD einsum sums m = 3 as
-(p0 + p2) + p1, which an explicit order does not reproduce; so ``_row_dot``
-calls ``np.einsum`` there, as before.
+Every dot product over the m components (the residuals, the squared norms,
+``run_lms``'s measurements and the initial norms) goes through
+``_component_sum``.  It adds the even components left to right and the
+odd components left to right, then adds the two lanes: ((p0 + p2) + p4)
++ (p1 + p3) at m = 5.  That is the order of numpy's SIMD ``np.einsum``: it
+gives the same bits as einsum for m = 1 to 7, on every input including
+overflow, NaN and subnormals (numpy 2.4).  From m = 8 einsum's order
+differs, so with eight or more components the kernel's sums can differ
+from einsum's in the last bits; no bundled model, test or benchmark
+simulates m >= 8.
 
 Recursions
 ----------
 ``run_lms`` propagates the estimate theta_k with synthesized measurements
-z_k = h_k . theta* + eps_k;  ``run_error_recursion`` propagates the error
-e_k = theta_k - theta* directly.  The two recursions are algebraically
-identical; they share the stepping kernel and keep separate update lines on
-purpose, as a cross-check of the stream plumbing: with theta* = 0 they
-perform the same floating-point operations and agree bit for bit; with a
-nonzero theta* they agree to rounding error.
+z_k = h_k . theta* + eps_k (origin 0);  ``run_error_recursion`` propagates
+the error e_k = theta_k - theta* directly (origin theta*, z_k = eps_k).
+The two recursions are algebraically identical and step through the same
+update line; the squared norm is |state - (theta* - origin)|^2 in both.
+With theta* = 0 they perform the same floating-point operations and agree
+bit for bit; with a nonzero theta* they agree to rounding error, which
+cross-checks the stream plumbing.
 
 Regressors are sampled through the Cholesky factor when the covariance is
 positive definite and through the eigendecomposition otherwise, which
@@ -94,6 +116,7 @@ handles exactly singular covariances without any jitter.
 
 from __future__ import annotations
 
+import bisect
 import os
 import signal
 import warnings
@@ -109,6 +132,8 @@ DIVERGENCE_GUARD = 1e12
 BOUNDED_THRESHOLD = 10.0
 DIVERGED_THRESHOLD = 1e8
 _CHUNK_STEPS = 128
+_BLOCK_STEPS = 32
+_BLOCK_VALUES = 1 << 16
 
 
 class RankDeficient(ValueError):
@@ -351,120 +376,165 @@ class SimBatch(list):
         return sum(result.diverged_count for result in self)
 
 
-def _row_dot(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, a, b)`` for a sum of ``a * b`` over the last axis.
+def _component_sum(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sum of ``p`` over its first (component) axis, in two lanes.
 
-    For m <= 2 the product's component columns are added, which gives the
-    same values (see "Exact row reductions" above) at half the cost.
+    The even components are added left to right, the odd ones likewise, and
+    the two lanes last (see "Exact row reductions" above).  The lanes
+    accumulate in ``p[0]`` and ``p[1]``, which are overwritten; the sum goes
+    into ``out``, by default ``p[0]``.
     """
-    m = a.shape[-1]
-    if m > 2:
-        return np.einsum(subscripts, a, b)
-    p = a * b
-    return p[..., 0] + p[..., 1] if m == 2 else p[..., 0]
-
-
-def _times_rows(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``values[..., None] * h``: each (G, R) value times its row of the (R, m) h.
-
-    The values are copied into each component column and multiplied in
-    place, which gives the same products in a few long loops, where
-    broadcasting ``values[..., None]`` runs an inner loop of m per row.
-    """
-    out = np.empty(values.shape + h.shape[-1:])
-    for i in range(h.shape[-1]):
-        out[..., i] = values
-    out *= h
+    if out is None:
+        out = p[0]
+    for i in range(2, len(p)):
+        p[i % 2] += p[i]
+    if len(p) > 1:
+        np.add(p[0], p[1], out=out)
+    else:
+        np.copyto(out, p[0])
     return out
+
+
+def _steps(state: np.ndarray, hs: np.ndarray, zs: np.ndarray, scale: np.ndarray,
+           history: np.ndarray) -> np.ndarray:
+    """Step the (m, G, R) state through the (n, m, 1, R) regressors and
+    (n, 1, R) measurements, writing step j's state into ``history[j]``.
+
+    Each step is ``state - (scale * (h . state - z)) * h``, with the dot
+    product over the m components in ``_component_sum``'s order; returns
+    the last state.
+    """
+    products = np.empty(state.shape)
+    resid = np.empty(state.shape[1:])
+    for h, z, new in zip(hs, zs, history):
+        np.multiply(state, h, out=products)
+        _component_sum(products, out=resid)
+        resid -= z
+        resid *= scale
+        np.multiply(resid, h, out=products)
+        state = np.subtract(state, products, out=new)
+    return state
+
+
+def _block_steps(m: int, gains: int, replications: int) -> int:
+    """Steps per guard block: 32, or fewer once a step's state is large.
+
+    A block's history then holds at most ``_BLOCK_VALUES`` values, and a
+    block is never shorter than 8 steps.
+    """
+    return min(_BLOCK_STEPS, max(8, _BLOCK_VALUES // (m * gains * replications)))
 
 
 # A diverging replication may overflow before the guard freezes it.
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
               origin: np.ndarray,
-              measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              step: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-                             np.ndarray]
+              measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
               ) -> Union[SimResult, SimBatch]:
     """Step every gain over one draw of the replication streams.
 
-    The state of each gain starts at theta_0 - ``origin``.  Per chunk of L
-    steps, ``measure(hs, noise)`` maps the (L, R, m) regressors and the
-    (L, R) noise to the (L, R) measurements the recursion compares against.
-    ``step(state, h, z, scale)`` updates the (G, R, m) state in place with
-    one step's (R, m) regressors h and (R,) measurements z, multiplying
-    each (G, R) residual by ``scale`` (the gain, times 0 on frozen
-    replications), and returns the new squared error norms.  A frozen
-    replication's state is parked at theta* - ``origin``, where its squared
-    error norm is 0.
-    ``gains=None`` runs ``config.gain`` alone and returns its ``SimResult``.
+    The state of each gain starts at theta_0 - ``origin`` and is held
+    component-major, as an (m, G, R) array.  Per chunk of L steps,
+    ``measure(hs, noise)`` maps the (L, m, 1, R) regressors and the
+    (L, 1, R) noise, which it may overwrite, to the (L, 1, R) measurements
+    z.  Every step then computes ``state - gain * (h . state - z) * h``,
+    and the guard reads the squared error norms
+    ``|state - (theta* - origin)|^2`` once per block (see "The per-block
+    guard" above).  ``gains=None`` runs ``config.gain`` alone and returns
+    its ``SimResult``.
     """
     configs = ([config] if gains is None
                else [replace(config, gain=float(g)) for g in gains])
     m, sigma, k_max = config.model.dim, config.sigma_eps, config.k_max
+    reps = config.replications
     factor_t = sampling_factor(config.model.sampling_cov).T
-    gens = _make_generators(config.master_seed, config.replications)
+    gens = _make_generators(config.master_seed, reps)
     theta0 = _initial_estimates(config, gens)
-    err0 = theta0 - config.theta_star
 
-    state = np.repeat((theta0 - origin)[None], len(configs), axis=0)
-    sq = np.repeat(_row_dot("ri,ri->r", err0, err0)[None], len(configs), axis=0)
-    live = sq <= DIVERGENCE_GUARD
-    # The value each frozen row keeps; its state is parked at zero error.
-    frozen = np.where(np.isfinite(sq), sq, 1e18)
-    parked = config.theta_star - origin
-    np.copyto(state, parked, where=~live[..., None])
+    parked = (config.theta_star - origin)[:, None, None]
+    state = np.repeat((theta0 - origin).T[:, None], len(configs), axis=1)
     gain = np.array([c.gain for c in configs])[:, None]
-    scale = gain * live
+    live = np.ones(state.shape[1:], dtype=bool)
+    frozen = np.zeros(state.shape[1:])  # the value each frozen row keeps
     order = np.arange(len(configs))  # batch index of each gain still in the state
     # Per gain: final squared norms, live mask and the step it settled on.
     finals: list[Optional[tuple[np.ndarray, np.ndarray, Optional[int]]]] = (
         [None] * len(configs))
-    checkpoints = set(config.checkpoints)
     checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
+
+    def norms(states: np.ndarray) -> np.ndarray:
+        """Squared error norms of (..., m, G, R) states, which are overwritten."""
+        states -= parked
+        states *= states
+        return _component_sum(np.moveaxis(states, -3, 0))
+
+    def freeze(sqs: np.ndarray, before: int) -> None:
+        """Freeze each row at its first crossing among the (n, G, R) norms of
+        steps before + 1 .. before + n; let every gain left without a live
+        row leave the batch."""
+        nonlocal state, sq, live, frozen, gain, order
+        crossing = ~(sqs <= DIVERGENCE_GUARD)  # NaN fails the comparison
+        first = crossing.argmax(axis=0)
+        crossed = crossing.any(axis=0)
+        value = np.take_along_axis(sqs, first[None], axis=0)[0]
+        np.copyto(frozen, np.where(np.isfinite(value), value, 1e18), where=crossed)
+        np.copyto(state, parked, where=crossed)
+        live &= ~crossed
+        keep = live.any(axis=1)
+        if not keep.all():
+            settled = before + 1 + np.where(crossed, first, 0).max(axis=1)
+            for j in np.flatnonzero(~keep):
+                finals[order[j]] = frozen[j], live[j], int(settled[j])
+            state, sq, live, frozen = (
+                state[:, keep], sq[keep], live[keep], frozen[keep])
+            gain, order = gain[keep], order[keep]
+
+    # A start beyond the guard freezes at once; a gain frozen from the start
+    # leaves the batch on step 1.
+    sq = norms(state.copy())
+    freeze(sq[None], 0)
+    scale = gain * live
+    checkpoints = list(config.checkpoints) + [k_max]
     chunk = min(_CHUNK_STEPS, k_max)
-    # A gain frozen from the start leaves the batch on step 1.
-    sweep = not live.all()
+    block = _block_steps(m, len(configs), reps)
+    h_rows = np.empty((chunk, reps, m))
+    hs = np.empty((chunk, m, 1, reps))
+    noise = np.empty((chunk, 1, reps))
+    history = np.empty(0)
 
     step_no = 0
     with _Streams(gens, k_max, chunk, m) as streams:
         while step_no < k_max and len(order):
             length = min(chunk, k_max - step_no)
             draws = _draw_chunk(streams)
-            # One stacked (R, m) @ (m, m) product per step, as the per-step
-            # loop computes it: a (length, m) @ (m, m) product per
-            # replication takes another BLAS path at R = 1 and differs in
-            # the last bits.
-            hs = np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t)
-            zs = measure(hs, sigma * np.ascontiguousarray(draws[:, :length, m].T))
-            for i in range(length):
-                sq = step(state, hs[i], zs[i], scale)
-                step_no += 1
+            # One (R, m) @ (m, m) product per step, stacked (see "Chunks and
+            # the draw helper" above), then copied component-major.
+            np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t,
+                      out=h_rows[:length])
+            np.copyto(hs[:length], h_rows[:length].transpose(0, 2, 1)[:, :, None])
+            np.multiply(draws[:, :length, m].T[:, None], sigma, out=noise[:length])
+            zs = measure(hs[:length], noise[:length])
+            start, end = step_no, step_no + length
+            while step_no < end and len(order):
+                stop = checkpoints[bisect.bisect_right(checkpoints, step_no)]
+                n = min(block, end - step_no, stop - step_no)
+                if history.shape[1:] != state.shape:
+                    history = np.empty((block,) + state.shape)
+                i = step_no - start
+                np.copyto(state, _steps(state, hs[i:i + n], zs[i:i + n], scale,
+                                        history[:n]))
+                sqs = norms(history[:n])
+                sq = sqs[-1]
                 # Parked rows read 0, so a maximum within the guard means
-                # that no live row crossed it; NaN fails the comparison and
-                # freezes.
-                if sweep or not sq.max() <= DIVERGENCE_GUARD:
-                    sweep = False
-                    crossed = ~(sq <= DIVERGENCE_GUARD)
-                    np.copyto(frozen, np.where(np.isfinite(sq), sq, 1e18),
-                              where=crossed)
-                    np.copyto(state, parked, where=crossed[..., None])
-                    live &= ~crossed
-                    keep = live.any(axis=1)
-                    if not keep.all():
-                        for j in np.flatnonzero(~keep):
-                            finals[order[j]] = frozen[j], live[j], step_no
-                        state, sq, live, frozen = (
-                            state[keep], sq[keep], live[keep], frozen[keep])
-                        gain, order = gain[keep], order[keep]
+                # that no live row crossed it.
+                if not sqs.max() <= DIVERGENCE_GUARD:
+                    freeze(sqs, step_no)
                     scale = gain * live
-                if step_no in checkpoints:
+                step_no += n
+                if step_no in config.checkpoints:
                     merged = np.where(live, sq, frozen)
                     for j, index in enumerate(order):
-                        checkpoint_mse[index][step_no] = float(
-                            np.mean(merged[j]))
-                if not len(order):
-                    break
+                        checkpoint_mse[index][step_no] = float(np.mean(merged[j]))
 
     merged = np.where(live, sq, frozen)
     for j, index in enumerate(order):
@@ -487,22 +557,12 @@ def run_lms(config: SimConfig,
     ``SimResult`` per gain comes back (``config.gain`` is then unused); each
     is bit-identical to a run of that gain alone.
     """
-    m = config.model.dim
-    # theta* once per replication: a product with it then loops over whole
-    # rows, where broadcasting the (m,) vector loops over m per row.
-    star_rows = np.tile(config.theta_star, (config.replications, 1))
+    star = config.theta_star[:, None, None]
 
     def measure(hs, noise):
-        return _row_dot("lri,ri->lr", hs, star_rows) + noise
-
-    def step(theta, h, z, scale):
-        resid = _row_dot("gri,ri->gr", theta, h)
-        resid -= z
-        resid *= scale
-        theta -= _times_rows(resid, h)
-        err = theta - star_rows
-        return _row_dot("gri,gri->gr", err, err)
-    return _simulate(config, gains, np.zeros(m), measure, step)
+        noise += _component_sum(np.moveaxis(hs * star, 1, 0))
+        return noise
+    return _simulate(config, gains, np.zeros(config.model.dim), measure)
 
 
 def run_error_recursion(config: SimConfig,
@@ -513,14 +573,7 @@ def run_error_recursion(config: SimConfig,
     Consumes streams identical to ``run_lms`` and must agree with it:
     bit for bit when theta* = 0, to rounding error otherwise.
     """
-    def step(theta_err, h, eps, scale):
-        resid = _row_dot("gri,ri->gr", theta_err, h)
-        resid -= eps
-        resid *= scale
-        theta_err -= _times_rows(resid, h)
-        return _row_dot("gri,gri->gr", theta_err, theta_err)
-    return _simulate(config, gains, config.theta_star,
-                     lambda hs, noise: noise, step)
+    return _simulate(config, gains, config.theta_star, lambda hs, noise: noise)
 
 
 def batch_ls(data: DataMatrix) -> np.ndarray:

@@ -414,16 +414,18 @@ class TestDrawHelper:
         _no_child_left()
 
     def test_reaped_when_a_step_raises(self):
+        # The run raises while forming its second chunk, with the helper
+        # drawing the third.
         cfg = config(k_max=5 * simulate._CHUNK_STEPS)
-        steps = []
+        chunks = []
 
-        def step(state, h, z, scale):
-            steps.append(1)
-            if len(steps) == simulate._CHUNK_STEPS + 3:
+        def measure(hs, noise):
+            chunks.append(1)
+            if len(chunks) == 2:
                 raise FloatingPointError("injected")
-            return np.einsum("gri,gri->gr", state, state)
+            return noise
         with pytest.raises(FloatingPointError, match="injected"):
-            simulate._simulate(cfg, None, np.zeros(2), lambda hs, noise: noise, step)
+            simulate._simulate(cfg, None, np.zeros(2), measure)
         _no_child_left()
 
     def test_parent_raises_when_the_helper_fails(self, monkeypatch):
@@ -539,62 +541,160 @@ np.save(sys.argv[1], np.stack([r.per_replication for r in batch]))
             _assert_same(a, b)
 
 
-def _special_rows(m):
-    """Every m-vector over values that stress a dot product's rounding."""
-    values = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
-                       np.inf, -np.inf, np.nan, 1e300, -3e299, 1e-300,
-                       1.3e154, -1.5, 1.0 + 2.0**-52])
-    grid = np.meshgrid(*([values] * m), indexing="ij")
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                           np.inf, -np.inf, np.nan, 1e300, -3e299, 1e-300, 1e308,
+                           -1e-308, 1.3e154, -1.5, 1.0 + 2.0**-52])
+
+
+def _special_rows(m, rng):
+    """m-vectors over values that stress a dot product's rounding: every one
+    for m <= 2, 40 000 drawn at random beyond."""
+    if m > 2:
+        return rng.choice(SPECIAL_VALUES, size=(40_000, m))
+    grid = np.meshgrid(*([SPECIAL_VALUES] * m), indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
+def _reductions(a, b):
+    """Each row reduction the kernel replaced, on (n, m) rows a and b:
+    (subscripts, x, y) with einsum's operands, x * y broadcasting."""
+    n, m = a.shape
+    half = n // 2 * 2
+    g_a = a[:half].reshape(2, -1, m)                        # (G, R, m)
+    g_b = b[:half].reshape(2, -1, m)
+    return [("gri,ri->gr", g_a, g_b[0]),                    # residuals
+            ("gri,gri->gr", g_a, g_b),                      # squared norms
+            ("ri,i->r", a, b[n // 3]),                      # measurements
+            ("ri,ri->r", a, b)]                             # initial norms
+
+
 class TestRowDot:
-    # The m <= 2 reductions must reproduce np.einsum for every input the
-    # kernel can meet, overflow and NaN included, in each shape it uses.
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_equals_einsum_on_special_values(self, m):
-        rows = _special_rows(m)
-        a = np.repeat(rows, len(rows), axis=0)      # every pair of rows
-        b = np.tile(rows, (len(rows), 1))
-        g_a = a.reshape(2, -1, m)                    # (G, R, m)
-        g_b = b.reshape(2, -1, m)
-        n = len(rows)
-        cases = [("gri,ri->gr", g_a, g_b[0]), ("gri,gri->gr", g_a, g_b),
-                 ("lri,ri->lr", a.reshape(n, n, m), rows)]   # (L, R, m) measurements
-        with np.errstate(over="ignore", invalid="ignore"):
-            for subscripts, x, y in cases:
-                assert np.array_equal(simulate._row_dot(subscripts, x, y),
+    # The two-lane reduction must reproduce np.einsum for every input the
+    # kernel can meet, overflow and NaN included, on each reduction it
+    # replaced; it first differs at m = 8, which nothing simulates.
+    @staticmethod
+    def assert_equals_einsum(a, b):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for subscripts, x, y in _reductions(a, b):
+                products = np.ascontiguousarray(np.moveaxis(x * y, -1, 0))
+                assert np.array_equal(simulate._component_sum(products),
                                       np.einsum(subscripts, x, y), equal_nan=True)
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_equals_einsum_on_special_values(self, m):
+        rng = np.random.default_rng(m)
+        rows = _special_rows(m, rng)
+        if m > 2:
+            self.assert_equals_einsum(rows, rng.permutation(rows))
+        else:   # every pair of rows
+            self.assert_equals_einsum(np.repeat(rows, len(rows), axis=0),
+                                      np.tile(rows, (len(rows), 1)))
+
+    @pytest.mark.parametrize("m", range(1, 8))
     def test_equals_einsum_on_random_magnitudes(self, m):
         rng = np.random.default_rng(m)
 
-        def draw(*shape):
-            return (rng.standard_normal(shape)
-                    * 10.0 ** rng.integers(-300, 300, size=shape))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for subscripts, x, y in (("gri,ri->gr", draw(5, 1000, m), draw(1000, m)),
-                                     ("gri,gri->gr", draw(3, 7, m), draw(3, 7, m)),
-                                     ("lri,ri->lr", draw(256, 2, m), draw(2, m))):
-                assert np.array_equal(simulate._row_dot(subscripts, x, y),
-                                      np.einsum(subscripts, x, y), equal_nan=True)
+        def draw(n):
+            return (rng.standard_normal((n, m))
+                    * 10.0 ** rng.integers(-300, 300, size=(n, m)))
+        for n in (1, 3, 7, 16, 257, 2000):
+            self.assert_equals_einsum(draw(n), draw(n))
 
 
 class TestTimesRows:
-    # The update's outer product, formed column by column, gives the
-    # broadcast product's bits, for one gain and for several.
+    # One component-major step gives the bits of the row-major update
+    # theta - (scale * (h . theta - z))[..., None] * h, for one gain and for
+    # several.
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", [(1, 50), (3, 500)], ids=["one_gain", "gains"])
     def test_equals_broadcast_product(self, m, shape):
         rng = np.random.default_rng(m)
-        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200, size=shape)
-        h = rng.standard_normal((shape[1], m)) * 10.0 ** rng.integers(-200, 200,
-                                                                      size=(shape[1], m))
-        values[0, :3] = [np.inf, np.nan, -0.0]
+
+        def draw(*dims):
+            return (rng.standard_normal(dims)
+                    * 10.0 ** rng.integers(-100, 100, size=dims))
+        theta, h, z = draw(*shape, m), draw(shape[1], m), draw(shape[1])
+        scale = rng.choice([0.0, 0.3, 1.7], size=shape)
+        theta[0, :3, 0] = [np.inf, np.nan, -0.0]
+        h[3:5, 0] = [0.0, -0.0]
+        history = np.empty((1, m) + shape)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            assert np.array_equal(simulate._times_rows(values, h), values[..., None] * h,
-                                  equal_nan=True)
+            expected = theta - (scale * (np.einsum("gri,ri->gr", theta, h) - z)
+                                )[..., None] * h
+            last = simulate._steps(np.moveaxis(theta, -1, 0).copy(),
+                                   h.T[None, :, None], z[None, None], scale, history)
+        assert np.array_equal(np.moveaxis(last, 0, -1), expected, equal_nan=True)
+        assert np.array_equal(last, history[0], equal_nan=True)
+
+
+def _unfrozen_norms(config):
+    """Every replication's squared error norm after each step, with no guard:
+    the reference loop's arithmetic, (k_max, R)."""
+    m = config.model.dim
+    factor = simulate.sampling_factor(config.model.sampling_cov)
+    gens = simulate._make_generators(config.master_seed, config.replications)
+    theta = simulate._initial_estimates(config, gens)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) < config.k_max:
+            length = min(simulate._CHUNK_STEPS, config.k_max - len(out))
+            draws = np.stack([g.standard_normal((length, m + 1)) for g in gens])
+            for i in range(length):
+                h = draws[:, i, :m] @ factor.T
+                z = (np.einsum("ri,i->r", h, config.theta_star)
+                     + config.sigma_eps * draws[:, i, m])
+                resid = np.einsum("ri,ri->r", h, theta) - z
+                theta = theta - (config.gain * resid)[:, None] * h
+                err = theta - config.theta_star
+                out.append(np.einsum("ri,ri->r", err, err))
+    return np.array(out)
+
+
+class TestBlockGuard:
+    # The guard reads a block's squared norms at its end.  A replication that
+    # crosses the guard and falls back below it within one block must still
+    # freeze at the value and step of its first crossing.  The start sits just
+    # below the guard, so at these gains many replications cross and fall
+    # back; G * R gives the shortest block, and the checkpoints cut blocks
+    # in their middle.
+    def test_first_crossing_within_a_block_freezes(self):
+        gains = [0.3, 0.5, 0.7, 5.0]
+        reps, k_max = 2048, 300
+        chunk = simulate._CHUNK_STEPS
+        checkpoints = (3, 13, 100, chunk + 5, 299)
+        block = simulate._block_steps(1, len(gains), reps)
+        assert block == 8
+        base = dict(model=M1_MODEL, theta_star=np.array([0.5]), sigma_eps=0.1,
+                    k_max=k_max, replications=reps, master_seed=3,
+                    init=np.array([9.9e5]), checkpoints=checkpoints)
+        # The block ends: each block is at most `block` steps and ends at
+        # every checkpoint, chunk end and k_max.
+        stops = sorted(set(checkpoints) | {chunk, 2 * chunk, k_max})
+        ends, step = set(), 0
+        while step < k_max:
+            step = min(step + block, next(s for s in stops if s > step))
+            ends.add(step)
+        batch = run_lms(SimConfig(gain=gains[0], **base), gains=gains)
+        settled = []
+        for gain, result in zip(gains, batch):
+            cfg = SimConfig(gain=gain, **base)
+            sq, diverged, checkpoint_mse, settled_at = reference_run_lms(cfg)
+            norms = _unfrozen_norms(cfg)
+            crossing = ~(norms <= DIVERGENCE_GUARD)
+            first = np.argmax(crossing, axis=0)   # index of the first crossing
+            falls_back = [r for r in np.flatnonzero(crossing.any(axis=0))
+                          if first[r] + 1 not in ends and first[r] + 1 < k_max
+                          and norms[first[r] + 1, r] <= DIVERGENCE_GUARD]
+            if gain < 1:
+                assert len(falls_back) > 10
+            assert np.array_equal(result.per_replication, sq)
+            assert result.checkpoint_mse == checkpoint_mse
+            assert result.diverged_count == diverged
+            assert result.settled_step == settled_at
+            settled.append(settled_at)
+        # The largest gain settles within a block, off its end.
+        assert settled[-1] is not None and settled[-1] not in ends
+        assert settled[0] is None
 
 
 class TestDivergenceGuard:
