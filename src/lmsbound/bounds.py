@@ -120,8 +120,8 @@ def _range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return values[keep], vectors[:, keep], not keep.all()
 
 
-def sup_gain(model: MomentModel, kind: CriterionKind, mode: str = "relaxed",
-             relaxed_tol: float = RELAXED_TOL_DEFAULT) -> SupGainResult:
+def sup_gain(model: MomentModel, kind: CriterionKind,
+             mode: str = "relaxed") -> SupGainResult:
     """Supremum gain admitted by a criterion, with certificate where one exists.
 
     The certificate criteria are generalized eigenvalue problems, read off
@@ -131,8 +131,8 @@ def sup_gain(model: MomentModel, kind: CriterionKind, mode: str = "relaxed",
     these: "strict" reports a singular second moment (which leaves a
     frozen direction and no strictly feasible point) as strictly
     infeasible; "relaxed" (default) reads the sup on the range and certifies
-    it with slack within ``relaxed_tol``, flagged tolerance-limited.  The
-    certificate is built at the gain sup*(1 - TOL_A).
+    it with slack within ``RELAXED_TOL_DEFAULT``, flagged tolerance-limited.
+    The certificate is built at the gain sup*(1 - TOL_A).
     """
     lam_min, lam_max, trace = _second_moment_spectrum(model)
 
@@ -173,18 +173,16 @@ def sup_gain(model: MomentModel, kind: CriterionKind, mode: str = "relaxed",
     if kind is CriterionKind.COROLLARY2:
         chi = max(-pencil_max_eigenvalue(model, a_cert) / 2.0, TOL_CHI)
         problem = LmiProblem(model, a_cert, chi, mode=mode,
-                             relaxed_tol=relaxed_tol, p_restriction="identity")
+                             p_restriction="identity")
     else:
-        problem = LmiProblem(model, a_cert, TOL_CHI, mode=mode,
-                             relaxed_tol=relaxed_tol)
+        problem = LmiProblem(model, a_cert, TOL_CHI, mode=mode)
     outcome = solve_feasibility(problem)
     return SupGainResult(kind, sup, certificate=outcome.certificate,
                          tolerance_limited=outcome.tolerance_limited)
 
 
 def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
-                   mode: str = "relaxed",
-                   relaxed_tol: float = RELAXED_TOL_DEFAULT) -> ChiSearchResult:
+                   mode: str = "relaxed") -> ChiSearchResult:
     """Largest certified rate chi at a fixed gain, with the certifying P.
 
     For corollary2 the rate is the closed-form -lambda_max(a*M4 - 2*S),
@@ -193,8 +191,8 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     (1 - rho(T^))/a on the range of L^, backed off by TOL_CHI +
     STRICT_MARGIN so that the certificate clears the strict slack test;
     a singular second moment has no strictly feasible rate, and the relaxed
-    mode caps its rate just below ``relaxed_tol``, the slack it leaves on
-    the frozen directions.
+    mode caps its rate just below ``RELAXED_TOL_DEFAULT``, the slack it
+    leaves on the frozen directions.
     """
     if not (gain > 0 and np.isfinite(gain)):
         raise GainTooLarge(f"gain must be positive and finite, got {gain}")
@@ -208,7 +206,7 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
                     f"gain {gain} is not strictly feasible for corollary2 "
                     f"(pencil eigenvalue {phi:.3g})")
             return ChiSearchResult(-phi, identity, None)
-        if phi > relaxed_tol:
+        if phi > RELAXED_TOL_DEFAULT:
             raise GainTooLarge(
                 f"gain {gain} is beyond the corollary2 range "
                 f"(pencil eigenvalue {phi:.3g})")
@@ -228,13 +226,12 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     rho = float(np.linalg.eigvalsh(vectors.T @ t_hat @ vectors)[-1])
     chi = (1.0 - rho) / gain - (TOL_CHI + STRICT_MARGIN)
     if singular:
-        chi = min(chi, relaxed_tol * (1.0 - 1e-6))
+        chi = min(chi, RELAXED_TOL_DEFAULT * (1.0 - 1e-6))
     if chi <= 0:
         raise GainTooLarge(
             f"gain {gain} is infeasible for the drift inequality even at "
             f"vanishing rate (spectral radius {rho:.6g})")
-    outcome = solve_feasibility(LmiProblem(model, gain, chi, mode=mode,
-                                           relaxed_tol=relaxed_tol))
+    outcome = solve_feasibility(LmiProblem(model, gain, chi, mode=mode))
     cert = outcome.certificate
     if cert is None:
         raise NonConvergence(

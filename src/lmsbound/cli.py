@@ -141,6 +141,13 @@ _format_option = click.option(
     "--format", "fmt", type=click.Choice(["table", "csv", "jsonl"]),
     default="table")
 
+_seed_option = click.option("--seed", type=click.IntRange(min=0),
+                            default=presets.DEFAULT_MASTER_SEED)
+_reps_option = click.option("--reps", type=click.IntRange(min=1),
+                            default=presets.REPLICATIONS)
+_iters_option = click.option("--iters", type=click.IntRange(min=1),
+                             default=presets.K_MAX, help="steps per replication")
+
 
 def _model_options(f):
     for opt in reversed([
@@ -233,8 +240,8 @@ def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
     if not (xi > 0 and np.isfinite(xi)):
         raise ValueError(f"xi must be positive and finite, got {xi}")
     table = report.build_errorbound_table(
-        (name,), models={name: moment_model}, simulate=False, mode=mode,
-        xi=xi, sigma_eps=sigma_eps, gain=gain)
+        (name,), models={name: moment_model}, mode=mode, xi=xi,
+        sigma_eps=sigma_eps, gain=gain)
     _emit(dataclasses.replace(table, name=f"errorbound:{name}",
                               columns=("value",)), fmt)
 
@@ -246,10 +253,9 @@ def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
 @click.option("--theta-star", default=None, help="comma-separated true parameter")
 @click.option("--init", "init_law", default="normal",
               help='"normal" (default), "zeros", or comma-separated vector')
-@click.option("--iters", type=int, default=presets.K_MAX,
-              help="steps per replication")
-@click.option("--reps", type=int, default=presets.REPLICATIONS)
-@click.option("--seed", type=int, default=presets.DEFAULT_MASTER_SEED)
+@_iters_option
+@_reps_option
+@_seed_option
 @_format_option
 def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
              **source):
@@ -312,9 +318,9 @@ def simulate(gain, sigma_eps, theta_star, init_law, iters, reps, seed, fmt,
 @main.command(name="report")
 @_config_option
 @click.option("--out-dir", type=click.Path(), default="reports")
-@click.option("--seed", type=int, default=presets.DEFAULT_MASTER_SEED)
-@click.option("--reps", type=int, default=presets.REPLICATIONS)
-@click.option("--iters", type=int, default=presets.K_MAX)
+@_seed_option
+@_reps_option
+@_iters_option
 @_mode_option
 @click.option("--skip-simulation", is_flag=True, default=False,
               help="omit classification and simulation rows (fast)")

@@ -76,19 +76,15 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def parse_table(source: Union[str, Path], fmt: Optional[str] = None) -> RawTable:
+def parse_table(source: Union[str, Path]) -> RawTable:
     """Parse a whitespace- or comma-delimited numeric table.
 
-    ``source`` is a path; ``fmt`` forces "prn" (whitespace) or "csv", else
-    the file extension decides (default whitespace).  Returns the numeric
-    rows; a single leading non-numeric line is treated as a header.
+    ``source`` is a path; a ".csv" extension means comma-delimited, any
+    other whitespace-delimited.  Returns the numeric rows; a single leading
+    non-numeric line is treated as a header.
     """
     path = Path(source)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "prn"
-    if fmt not in ("prn", "csv"):
-        raise ValueError(f"unknown table format {fmt!r}")
-    delimiter = "," if fmt == "csv" else None
+    delimiter = "," if path.suffix.lower() == ".csv" else None
     text = path.read_text()
     return parse_table_text(text, delimiter=delimiter, source=str(path))
 

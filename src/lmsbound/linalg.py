@@ -109,13 +109,13 @@ def eigh(a) -> EigenDecomp:
     return EigenDecomp(values, vectors)
 
 
-def cholesky(a, shift: float = 0.0) -> np.ndarray:
-    """Lower-triangular Cholesky factor of A + shift*I.
+def cholesky(a) -> np.ndarray:
+    """Lower-triangular Cholesky factor of A.
 
-    Raises NotPositiveDefinite (with the failing pivot index) when the
-    shifted matrix is not positive definite.
+    Raises NotPositiveDefinite (with the failing pivot index) when A is not
+    positive definite.
     """
-    A = symmetrize(a) + shift * np.eye(np.asarray(a, dtype=float).shape[0])
+    A = symmetrize(a)
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
@@ -138,27 +138,3 @@ def is_psd(a, tol: float) -> tuple[bool, float]:
     values, _ = eigh(a)
     margin = float(values[0])
     return margin >= -tol, margin
-
-
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for lower-triangular L."""
-    n = L.shape[0]
-    x = np.zeros(n)
-    for i in range(n):
-        x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / L[i, i]
-    return x
-
-
-def solve_upper(U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution for upper-triangular U."""
-    n = U.shape[0]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - np.dot(U[i, i + 1:], x[i + 1:])) / U[i, i]
-    return x
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky."""
-    L = cholesky(a)
-    return solve_upper(L.T, solve_lower(L, np.asarray(b, dtype=float)))

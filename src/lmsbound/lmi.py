@@ -37,8 +37,9 @@ with the in-house Jacobi eigensolver and shares no state with the search.
 Degenerate laws (singular S with regressors confined to a subspace) admit
 no strictly feasible point: T keeps a frozen unit eigenvalue along the
 untouched subspace.  The relaxed mode accepts certificates whose slack is
-within ``relaxed_tol`` of zero and marks them ``tolerance_limited``, which
-reproduces what interior-point SDP solvers silently do on such problems.
+within ``RELAXED_TOL_DEFAULT`` of zero and marks them ``tolerance_limited``,
+which reproduces what interior-point SDP solvers silently do on such
+problems.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ class LmiProblem:
     model: MomentModel
     gain: float
     rate: float
-    eps_feas: float = EPS_FEAS_DEFAULT
     mode: str = "strict"              # "strict" | "relaxed"
-    relaxed_tol: float = RELAXED_TOL_DEFAULT
     p_restriction: str = "free"       # "free" | "identity"
 
     def __post_init__(self):
@@ -174,7 +173,7 @@ def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
     otherwise the resolvent certificate read off one eigendecomposition of
     T^ replaces it if it does better (strict where the identity is only
     tolerance-limited, feasible where the identity fails).  Every returned
-    certificate passes ``check_certificate`` at the problem's tolerance.
+    certificate passes ``check_certificate`` at the mode's tolerance.
     """
     model, a, chi = problem.model, problem.gain, problem.rate
     m = model.dim
@@ -183,7 +182,7 @@ def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
     def grade(slack: float) -> int:
         if slack <= -STRICT_MARGIN:
             return 0
-        return 1 if relaxed and slack <= problem.relaxed_tol else 2
+        return 1 if relaxed and slack <= RELAXED_TOL_DEFAULT else 2
 
     best_p = np.eye(m)
     best_slack = float(np.linalg.eigvalsh(
@@ -206,8 +205,8 @@ def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
             gain=a, rate=chi, p_matrix=best_p, slack=best_slack,
             p_min_eigenvalue=float(np.linalg.eigvalsh(best_p)[0]),
             tolerance_limited=tolerance_limited)
-        ok, diag = check_certificate(model, certificate, problem.relaxed_tol
-                                     if relaxed else problem.eps_feas)
+        ok, diag = check_certificate(model, certificate, RELAXED_TOL_DEFAULT
+                                     if relaxed else EPS_FEAS_DEFAULT)
         if not ok:
             raise NonConvergence(
                 f"certificate failed independent verification: {diag}")

@@ -121,7 +121,6 @@ class MomentModel:
 
     second_moment: np.ndarray
     m4: np.ndarray
-    provenance: str
     fourth_operator: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
     sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
@@ -198,20 +197,17 @@ def gaussian_moment_model(spec: GaussianSpec | np.ndarray) -> MomentModel:
     return MomentModel(
         second_moment=cov,
         m4=op(np.eye(spec.dim)),
-        provenance="gaussian",
         fourth_operator=op,
         sampling_cov=cov,
         f_hat=2.0 * k @ np.kron(cov, cov) @ k.T + np.outer(k_s, k_s),
     )
 
 
-def explicit_moment_model(second_moment, m4,
-                          provenance: str = "explicit") -> MomentModel:
+def explicit_moment_model(second_moment, m4) -> MomentModel:
     """Moment model from printed matrices S and M4 = F(I); F limited to P = I."""
     model = MomentModel(
         second_moment=np.asarray(second_moment, dtype=float),
         m4=np.asarray(m4, dtype=float),
-        provenance=provenance,
     )
     scale = max(1.0, float(np.linalg.norm(model.m4)))
     ok, margin = linalg.is_psd(model.m4, _PSD_TOL * scale)
@@ -255,7 +251,6 @@ def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
     return MomentModel(
         second_moment=second / n,
         m4=apply(np.eye(m)),
-        provenance="empirical",
         fourth_operator=apply,
         f_hat=f_hat / n,
     )

@@ -96,8 +96,7 @@ def benchmark_model(name: str) -> MomentModel:
     """
     key = name.strip().upper()
     if key in ("REED", "2"):
-        return explicit_moment_model(REED_SECOND_MOMENT, REED_FOURTH_MOMENT,
-                                     provenance="reed printed sample moments")
+        return explicit_moment_model(REED_SECOND_MOMENT, REED_FOURTH_MOMENT)
     if len(key) == 1:
         key = "1" + key
     if key in GAUSSIAN_CASES:

@@ -6,7 +6,14 @@ by classification rows giving the Monte Carlo verdict (C bounded, N
 diverged, - not applicable) at the per-criterion working gain.  The
 error-bound table fixes the working gain from the identity-certificate
 criterion and reports the maximal certified rate, the asymptotic bounds of
-the three bound-producing criteria, and the simulated terminal error.
+the three bound-producing criteria, and the simulated terminal error of the
+run already made at that gain for the classification rows.
+
+The report's protocol (noise level, true parameter, gain offset, shared
+start) comes from ``presets``: a caller chooses only the master seed, the
+horizon, the replication count and the certificate mode.  The error-bound
+table alone also takes a gain offset, noise level or fixed working gain,
+which the ``errorbound`` command sets for a single model.
 
 Cells are kept as raw values and formatted at serialization time: full
 precision (shortest round-trip) in CSV, four decimals in text mode, and
@@ -27,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from . import presets
 from .bounds import (CriterionKind, GainTooLarge, SupGainResult,
@@ -179,21 +184,17 @@ def _supgain_cell(result: Optional[SupGainResult]) -> Cell:
 
 
 def build_supgain_table(
-        names: Sequence[str] = presets.BENCHMARK_NAMES,
-        criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
-        mode: str = "relaxed",
-        annotations: Optional[dict[tuple[str, CriterionKind], str]] = None,
-        results: Optional[dict[tuple[str, CriterionKind],
-                               Optional[SupGainResult]]] = None) -> Table:
+        names: Sequence[str] = presets.BENCHMARK_NAMES, *,
+        results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
+        annotations: Optional[dict[tuple[str, CriterionKind], str]] = None
+        ) -> Table:
     """Criterion-by-benchmark sup-gain table, plus classification rows if given."""
-    if results is None:
-        results = supgain_results(names, criteria, mode=mode)
     table = Table("supgain", tuple(names))
-    for kind in criteria:
+    for kind in CRITERIA_ORDER:
         table.add_row(kind.value,
                       [_supgain_cell(results[(name, kind)]) for name in names])
     if annotations is not None:
-        for kind in criteria:
+        for kind in CRITERIA_ORDER:
             cells = [Cell(text=annotations.get((name, kind), ""))
                      for name in names]
             table.add_row(kind.value + "_classification", cells)
@@ -206,12 +207,7 @@ _CLASS_LETTER = {"bounded": "C", "diverged": "N", "indeterminate": "?"}
 def working_gain_simulations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
         names: Sequence[str] = presets.BENCHMARK_NAMES,
-        criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
         models: Optional[dict[str, MomentModel]] = None,
-        xi: float = presets.XI,
-        sigma_eps: float = presets.SIGMA_EPS,
-        theta_star: Optional[np.ndarray] = None,
-        init: Union[str, np.ndarray, None] = None,
         k_max: int = presets.K_MAX,
         replications: int = presets.REPLICATIONS,
         master_seed: int = presets.DEFAULT_MASTER_SEED,
@@ -229,7 +225,7 @@ def working_gain_simulations(
         if model.sampling_cov is None:
             continue
         gains: dict[CriterionKind, float] = {}
-        for kind in criteria:
+        for kind in CRITERIA_ORDER:
             result = results.get((name, kind))
             if result is None:
                 continue
@@ -237,7 +233,7 @@ def working_gain_simulations(
             if result.inapplicable or result.strictly_infeasible:
                 continue
             try:
-                gains[kind] = protocol_gain(result.sup_gain, xi)
+                gains[kind] = protocol_gain(result.sup_gain, presets.XI)
             except GainTooLarge:
                 continue
         # Criteria often share a working gain; each distinct one runs once.
@@ -246,14 +242,13 @@ def working_gain_simulations(
             distinct.setdefault(round(gain, 12), gain)
         if not distinct:
             continue
-        star = (presets.protocol_theta_star(model.dim)
-                if theta_star is None else theta_star)
-        start = presets.protocol_init(master_seed, model.dim) if init is None else init
         batch_gains = list(distinct.values())
         batch = run_lms(SimConfig(
-            model=model, theta_star=star, gain=batch_gains[0],
-            sigma_eps=sigma_eps, k_max=k_max, replications=replications,
-            master_seed=master_seed, init=start), gains=batch_gains)
+            model=model, theta_star=presets.protocol_theta_star(model.dim),
+            gain=batch_gains[0], sigma_eps=presets.SIGMA_EPS, k_max=k_max,
+            replications=replications, master_seed=master_seed,
+            init=presets.protocol_init(master_seed, model.dim)),
+            gains=batch_gains)
         by_gain = dict(zip(distinct, batch))
         for kind, gain in gains.items():
             out[(name, kind)] = by_gain[round(gain, 12)]
@@ -269,14 +264,7 @@ def _letters(simulations: dict[tuple[str, CriterionKind], Optional[SimResult]]
 def classification_annotations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
         names: Sequence[str] = presets.BENCHMARK_NAMES,
-        criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
         models: Optional[dict[str, MomentModel]] = None,
-        xi: float = presets.XI,
-        sigma_eps: float = presets.SIGMA_EPS,
-        theta_star: Optional[np.ndarray] = None,
-        init: Union[str, np.ndarray, None] = None,
-        k_max: int = presets.K_MAX,
-        replications: int = presets.REPLICATIONS,
         master_seed: int = presets.DEFAULT_MASTER_SEED,
         ) -> dict[tuple[str, CriterionKind], str]:
     """Monte Carlo verdict letter per (benchmark, criterion) working gain.
@@ -284,11 +272,11 @@ def classification_annotations(
     C: replication-averaged terminal error below the bounded threshold;
     N: above the diverged threshold; -: no positive working gain; ?: in
     between.  Unsamplable models get no entry.  The simulations are those
-    of ``working_gain_simulations``: one batched run per benchmark.
+    of ``working_gain_simulations`` at the full protocol horizon and
+    replication count: one batched run per benchmark.
     """
     return _letters(working_gain_simulations(
-        results, names, criteria, models, xi, sigma_eps, theta_star, init,
-        k_max, replications, master_seed))
+        results, names, models, master_seed=master_seed))
 
 
 def build_errorbound_table(
@@ -296,12 +284,6 @@ def build_errorbound_table(
         mode: str = "relaxed",
         xi: float = presets.XI,
         sigma_eps: float = presets.SIGMA_EPS,
-        theta_star: Optional[np.ndarray] = None,
-        init: Union[str, np.ndarray, None] = None,
-        k_max: int = presets.K_MAX,
-        replications: int = presets.REPLICATIONS,
-        master_seed: int = presets.DEFAULT_MASTER_SEED,
-        simulate: bool = True,
         models: Optional[dict[str, MomentModel]] = None,
         gain: Optional[float] = None,
         simulations: Optional[dict[str, SimResult]] = None) -> Table:
@@ -309,11 +291,12 @@ def build_errorbound_table(
 
     Rows: the working gain, the maximal certified rates (free-matrix and
     identity certificates), the three asymptotic bounds, the Monte Carlo
-    terminal error, and a flag row marking tolerance-limited certificates.
-    A given ``gain`` replaces the working gain derived from the corollary2
-    sup, which is then not searched.  ``simulations`` maps a benchmark to a
-    run already made with this protocol; it fills the simulation row when
-    its gain is the working gain.
+    terminal error when ``simulations`` is given, and a flag row marking
+    tolerance-limited certificates.  A given ``gain`` replaces the working
+    gain derived from the corollary2 sup, which is then not searched.
+    ``simulations`` maps a benchmark to a run already made at its working
+    gain (``working_gain_simulations``); the table itself never simulates,
+    and a benchmark without a run gets an empty simulation cell.
     """
     columns: list[dict[str, Cell]] = []
     for name in names:
@@ -326,8 +309,7 @@ def build_errorbound_table(
         c2 = max_chi_search(model, CriterionKind.COROLLARY2, a, mode=mode)
         col = {"gain": Cell(value=a), "chi_corollary2": Cell(value=c2.chi),
                "corollary2": Cell(value=asymptotic_bound(
-                   CriterionKind.COROLLARY2, a, c2.chi, None, second, sigma_eps)),
-               "simulation": Cell()}
+                   CriterionKind.COROLLARY2, a, c2.chi, None, second, sigma_eps))}
         flags = ["corollary2 tolerance-limited"] if c2.tolerance_limited else []
 
         if model.supports_general_p:
@@ -345,24 +327,14 @@ def build_errorbound_table(
 
         col["zhu_criterion"] = Cell(value=asymptotic_bound(
             CriterionKind.ZHU, a, None, None, second, sigma_eps))
-
-        if simulate and model.sampling_cov is not None:
-            sim = (simulations or {}).get(name)
-            if sim is None or sim.gain != a:
-                sim = run_lms(SimConfig(
-                    model=model, gain=a, sigma_eps=sigma_eps, k_max=k_max,
-                    replications=replications, master_seed=master_seed,
-                    theta_star=(presets.protocol_theta_star(model.dim)
-                                if theta_star is None else theta_star),
-                    init=(presets.protocol_init(master_seed, model.dim)
-                          if init is None else init)))
-            col["simulation"] = Cell(value=sim.terminal_mse)
+        sim = (simulations or {}).get(name)
+        col["simulation"] = Cell() if sim is None else Cell(value=sim.terminal_mse)
         col["flags"] = Cell(text="; ".join(flags))
         columns.append(col)
 
     rows = ["gain", "chi_theorem1", "chi_corollary2", "theorem1",
             "corollary2", "zhu_criterion"]
-    rows += ["simulation", "flags"] if simulate else ["flags"]
+    rows += ["flags"] if simulations is None else ["simulation", "flags"]
     table = Table("errorbound", tuple(names))
     for row in rows:
         table.add_row(row, [col[row] for col in columns])
@@ -379,21 +351,17 @@ def write_benchmark_reports(out_dir: Union[str, Path],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = supgain_results(mode=mode)
-    annotations = None
-    corollary2_runs: dict[str, SimResult] = {}
+    annotations = corollary2_runs = None
     if simulate:
         simulations = working_gain_simulations(
             results, master_seed=master_seed, k_max=k_max,
             replications=replications)
         annotations = _letters(simulations)
+        # The error-bound working gain is the corollary2 one, already simulated.
         corollary2_runs = {name: sim for (name, kind), sim in simulations.items()
                            if kind is CriterionKind.COROLLARY2 and sim is not None}
     table3 = build_supgain_table(results=results, annotations=annotations)
-    # The error-bound working gain is the corollary2 one, already simulated.
-    table4 = build_errorbound_table(
-        mode=mode, master_seed=master_seed, k_max=k_max,
-        replications=replications, simulate=simulate,
-        simulations=corollary2_runs)
+    table4 = build_errorbound_table(mode=mode, simulations=corollary2_runs)
     path3 = out_dir / "table3.csv"
     path4 = out_dir / "table4.csv"
     table3.write(path3)

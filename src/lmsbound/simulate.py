@@ -192,7 +192,8 @@ class SimConfig:
         if not np.all(np.isfinite(self.theta_star)):
             raise ValueError(f"theta_star must be finite, got {self.theta_star}")
         if not (self.gain >= 0 and np.isfinite(self.gain)):
-            raise ValueError(f"gain must be nonnegative, got {self.gain}")
+            raise ValueError(
+                f"gain must be finite and nonnegative, got {self.gain}")
         if not (self.sigma_eps >= 0 and np.isfinite(self.sigma_eps)):
             raise ValueError(
                 f"sigma_eps must be finite and nonnegative, got {self.sigma_eps}")
@@ -225,9 +226,6 @@ class SimResult:
     replications: int
     gain: float
     settled_step: Optional[int] = None  # step on which the last replication froze
-
-    def replication_classifications(self) -> list[str]:
-        return [classify(float(v)) for v in self.per_replication]
 
 
 def _make_generators(master_seed: int, replications: int) -> list[np.random.Generator]:
@@ -586,15 +584,12 @@ def batch_ls(data: DataMatrix) -> np.ndarray:
         raise RankDeficient(f"{n} rows cannot determine {m} coefficients")
     gram = h.T @ h
     rhs = h.T @ z
-    values, _ = linalg.eigh(gram)
+    values, vectors = linalg.eigh(gram)
     if values[0] <= m * np.finfo(float).eps * max(float(values[-1]), 1.0):
         raise RankDeficient(
             "normal equations are singular (Gram eigenvalues "
             f"{values[0]:.3g} .. {values[-1]:.3g})")
-    try:
-        theta = linalg.solve_spd(gram, rhs)
-    except linalg.NotPositiveDefinite as exc:
-        raise RankDeficient(f"normal equations are singular: {exc}") from exc
+    theta = vectors @ ((vectors.T @ rhs) / values)
     residual_proj = h.T @ (z - h @ theta)
     scale = max(1.0, float(np.linalg.norm(rhs)))
     if not float(np.linalg.norm(residual_proj)) <= 1e-8 * scale:

@@ -128,7 +128,7 @@ def protocol_sims(models):
 
 @pytest.fixture(scope="module")
 def bound_table(models):
-    return report.build_errorbound_table(simulate=False, models=models)
+    return report.build_errorbound_table(models=models)
 
 
 def test_identity_certificate_sup_gains(models):

@@ -276,13 +276,36 @@ class TestSimulate:
                   "--sigma-eps", "-1", "--iters", "5", "--reps", "2")
         assert res.exit_code == 2
 
+    NON_FINITE_MESSAGES = {
+        "--sigma-eps": "sigma_eps must be finite and nonnegative, got",
+        "--theta-star": "theta_star must be finite, got",
+        "--init": "fixed init vector must be finite, got",
+        "--gain": "gain must be finite and nonnegative, got",
+    }
+
     @pytest.mark.parametrize("option, value", [
-        ("--sigma-eps", "nan"), ("--theta-star", "nan,1"), ("--init", "inf,0")])
+        ("--sigma-eps", "nan"), ("--theta-star", "nan,1"), ("--init", "inf,0"),
+        ("--gain", "inf"), ("--gain", "nan")])
     def test_non_finite_input_is_config_error(self, runner, option, value):
         res = run(runner, "simulate", "--model", "1A", "--gain", "0.1",
                   option, value, "--iters", "5", "--reps", "2")
         assert res.exit_code == 2
         assert "classification" not in res.output
+        assert res.output.startswith("error: " + self.NON_FINITE_MESSAGES[option])
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate", "--seed", "-1"), ("simulate", "--reps", "0"),
+        ("simulate", "--iters", "0"), ("report", "--seed", "-3"),
+        ("report", "--reps", "0"), ("report", "--iters", "-5")])
+    def test_out_of_range_count_names_its_flag(self, runner, tmp_path,
+                                               command, option, value):
+        base = {"simulate": ("simulate", "--model", "1A", "--gain", "0.1"),
+                "report": ("report", "--out-dir", str(tmp_path / "reports"))}
+        res = run(runner, *base[command], option, value)
+        assert res.exit_code == 2
+        assert f"Invalid value for '{option}'" in res.output
+        assert "Usage:" in res.output
+        assert not (tmp_path / "reports").exists()
 
     def test_printed_model_cannot_simulate(self, runner, tmp_path):
         path = tmp_path / "mom.csv"

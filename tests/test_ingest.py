@@ -83,18 +83,6 @@ class TestParseTableFile:
         table = parse_table(csv)
         assert np.array_equal(table.values, [[1, 2], [3, 4]])
 
-    def test_fmt_override(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("1,2\n3,4\n")
-        table = parse_table(path, fmt="csv")
-        assert table.n_cols == 2
-
-    def test_unknown_fmt(self, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("1 2\n")
-        with pytest.raises(ValueError, match="unknown table format"):
-            parse_table(path, fmt="tsv")
-
     def test_source_recorded(self, tmp_path):
         path = tmp_path / "rows.prn"
         path.write_text("1 2\n")

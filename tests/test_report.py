@@ -33,3 +33,34 @@ class TestSharedSimulations:
                 replications=replications, master_seed=seed,
                 init=presets.protocol_init(seed, model.dim)))
             assert float(mse) == alone.terminal_mse
+
+
+class TestErrorboundTableNeverSimulates:
+    @staticmethod
+    def _forbid_runs(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the error-bound table must not simulate")
+        monkeypatch.setattr(report, "run_lms", fail)
+
+    def test_no_simulation_row_without_runs(self, monkeypatch):
+        self._forbid_runs(monkeypatch)
+        table = report.build_errorbound_table(
+            models={name: presets.benchmark_model(name) for name in ("1A", "1B")},
+            names=("1A", "1B"))
+        assert [label for label, _ in table.rows][-1] == "flags"
+        assert "simulation" not in [label for label, _ in table.rows]
+
+    def test_simulation_row_shows_the_given_run(self, monkeypatch):
+        model = presets.benchmark_model("1B")
+        seed = presets.DEFAULT_MASTER_SEED
+        gain = report.build_errorbound_table(names=("1B",)).row("gain")[0].value
+        sim = simulate.run_lms(SimConfig(
+            model=model, theta_star=presets.protocol_theta_star(model.dim),
+            gain=gain, sigma_eps=presets.SIGMA_EPS, k_max=40, replications=6,
+            master_seed=seed, init=presets.protocol_init(seed, model.dim)))
+        self._forbid_runs(monkeypatch)
+        table = report.build_errorbound_table(
+            names=("1A", "1B"), simulations={"1B": sim})
+        cells = table.row("simulation")
+        assert cells[0].value is None and cells[0].text == ""
+        assert cells[1].value == sim.terminal_mse
