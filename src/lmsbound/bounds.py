@@ -11,7 +11,7 @@ Both sups are generalized eigenvalue problems of the mean-square operator
 off the spectral radius of the mean-square map, so every certificate number
 comes from one small LAPACK eigendecomposition, with no search.
 
-Three are classical literature rules computed in closed form from S alone:
+Three are classical literature rules, read off the model's spectrum of S:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
 ``zhu_criterion`` (2*lambda_min/lambda_max^2, inapplicable for singular S).
 
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import linalg, presets
 from .lmi import (GainCertificate, LmiProblem, NonConvergence,
                   RELAXED_TOL_DEFAULT, STRICT_MARGIN, mean_square_map_matrix,
                   operator_matrices, solve_feasibility)
@@ -38,7 +38,6 @@ from .moments import MomentModel
 
 TOL_A = 1e-5     # sup certificates are built at the gain sup*(1 - TOL_A)
 TOL_CHI = 1e-9   # their rate; with STRICT_MARGIN, the theorem1 rate back-off
-XI_DEFAULT = 1e-4
 _SINGULAR_TOL = 1e-9
 
 
@@ -93,12 +92,12 @@ def pencil_max_eigenvalue(model: MomentModel, gain: float) -> float:
     return float(np.linalg.eigvalsh(gain * model.m4 - 2.0 * model.second_moment)[-1])
 
 
-def _second_moment_spectrum(model: MomentModel) -> tuple[float, float, float]:
-    values, _ = linalg.eigh(model.second_moment)
-    return float(values[0]), float(values[-1]), float(np.trace(model.second_moment))
+def _singular(values: np.ndarray) -> bool:
+    """Whether S with ascending eigenvalues ``values`` is singular (Zhu sup and bound)."""
+    return values[0] <= _SINGULAR_TOL * max(1.0, values[-1])
 
 
-def protocol_gain(sup_gain: float, xi: float = XI_DEFAULT) -> float:
+def protocol_gain(sup_gain: float, xi: float = presets.XI) -> float:
     """Working gain derived from a published sup: quote at 4 decimals, back off xi.
 
     Reported sup gains are quoted at 4-decimal precision, and downstream
@@ -134,22 +133,22 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     it with slack within ``RELAXED_TOL_DEFAULT``, flagged tolerance-limited.
     The certificate is built at the gain sup*(1 - TOL_A).
     """
-    lam_min, lam_max, trace = _second_moment_spectrum(model)
+    lam, trace = model.second_moment_eigenvalues, float(np.trace(model.second_moment))
 
     if kind is CriterionKind.WIDROW_LAMBDA_MAX:
-        if lam_max <= 0:
+        if lam[-1] <= 0:
             return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
-        return SupGainResult(kind, 2.0 / lam_max)
+        return SupGainResult(kind, 2.0 / float(lam[-1]))
     if kind is CriterionKind.WIDROW_TRACE:
         if trace <= 0:
             return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
         return SupGainResult(kind, 2.0 / trace)
     if kind is CriterionKind.ZHU:
-        if lam_min <= _SINGULAR_TOL * max(1.0, lam_max):
+        if _singular(lam):
             return SupGainResult(
                 kind, 0.0, inapplicable=True,
                 note="second moment is singular; criterion gives a zero gain")
-        return SupGainResult(kind, 2.0 * lam_min / lam_max**2)
+        return SupGainResult(kind, 2.0 * float(lam[0]) / float(lam[-1])**2)
 
     if kind is CriterionKind.COROLLARY2:
         scale, lhs, rhs = 2.0, model.m4, model.second_moment
@@ -277,10 +276,10 @@ def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
             return float("inf")
         return (gain / chi) * noise * float(np.trace(s))
     if kind is CriterionKind.ZHU:
-        lam_min = float(linalg.eigh(s).values[0])
-        if lam_min <= _SINGULAR_TOL * max(1.0, float(np.trace(s))):
+        lam = linalg.eigh(s).values
+        if _singular(lam):
             return float("inf")
-        return gain * noise * float(np.trace(s)) / (2.0 * lam_min)
+        return gain * noise * float(np.trace(s)) / (2.0 * float(lam[0]))
     raise ValueError(f"no error bound is defined for criterion {kind}")
 
 

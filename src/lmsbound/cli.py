@@ -34,7 +34,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, linalg, presets, report
+from . import __version__, presets, report
 from .bounds import CriterionKind
 from .ingest import (ColumnOutOfRange, RegressorRecipe, build_design,
                      parse_table, write_canonical_csv)
@@ -97,8 +97,8 @@ def _load_moments_file(path: str) -> MomentModel:
     return explicit_moment_model(table.values[:cols], table.values[cols:])
 
 
-def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
-                   response_col) -> tuple[str, MomentModel]:
+def _resolve_model(model, sigma1, sigma2, rho, moments_file, data,
+                   recipe) -> tuple[str, MomentModel]:
     gaussian = sigma1 is not None or sigma2 is not None or rho is not None
     sources = [model is not None, gaussian, moments_file is not None,
                data is not None]
@@ -123,7 +123,7 @@ def _resolve_model(model, sigma1, sigma2, rho, moments_file, data, recipe,
     if recipe is None:
         raise ValueError("--data needs --recipe")
     raw = parse_table(data)
-    design = build_design(raw, RegressorRecipe.parse(recipe), response_col)
+    design = build_design(raw, RegressorRecipe.parse(recipe))
     return Path(data).name, empirical_moment_model(design)
 
 
@@ -161,7 +161,6 @@ def _model_options(f):
         click.option("--data", type=click.Path(), default=None),
         click.option("--recipe", default=None,
                      help='e.g. "column(0), square(0), constant(1)"'),
-        click.option("--response-col", type=int, default=None),
     ]):
         f = opt(f)
     return f
@@ -196,9 +195,11 @@ def supgain(criteria, mode, fmt, **source):
     """Largest admissible constant gain per criterion for one model."""
     name, moment_model = _resolve_model(**source)
     kinds = list(CRITERIA_ORDER)
-    if criteria:
+    if criteria is not None:
         kinds = [CriterionKind.from_name(tok.strip())
                  for tok in criteria.split(",") if tok.strip()]
+        if not kinds or len(set(kinds)) < len(kinds):
+            raise ValueError(f"--criteria must name distinct criteria, got {criteria!r}")
     results = report.supgain_results((name,), kinds, mode=mode,
                                      models={name: moment_model})
     table = Table(f"supgain:{name}",
@@ -206,10 +207,8 @@ def supgain(criteria, mode, fmt, **source):
     for kind in kinds:
         r = results[(name, kind)]
         if r is None:
-            table.add_row(kind.value, [
-                Cell(text="skipped"), Cell(), Cell(), Cell(),
-                Cell(text="free-matrix certificates need a fourth-moment "
-                          "operator; model carries printed matrices only")])
+            table.add_row(kind.value, [Cell(text="skipped"), Cell(), Cell(), Cell(),
+                                       Cell(text=report.SKIPPED_NOTE)])
             continue
         flags = [flag for flag, on in (("inapplicable", r.inapplicable),
                                        ("tolerance-limited", r.tolerance_limited),
@@ -239,8 +238,10 @@ def errorbound(xi, gain, sigma_eps, mode, fmt, **source):
     name, moment_model = _resolve_model(**source)
     if not (xi > 0 and np.isfinite(xi)):
         raise ValueError(f"xi must be positive and finite, got {xi}")
+    results = {} if gain is not None else report.supgain_results(
+        (name,), (CriterionKind.COROLLARY2,), mode=mode, models={name: moment_model})
     table = report.build_errorbound_table(
-        (name,), models={name: moment_model}, mode=mode, xi=xi,
+        (name,), models={name: moment_model}, results=results, mode=mode, xi=xi,
         sigma_eps=sigma_eps, gain=gain)
     _emit(dataclasses.replace(table, name=f"errorbound:{name}",
                               columns=("value",)), fmt)
@@ -348,7 +349,7 @@ def ingest_check(data, recipe, response_col, out, fmt):
     raw = parse_table(data)
     parsed = RegressorRecipe.parse(recipe)
     design = build_design(raw, parsed, response_col)
-    values, _ = linalg.eigh(empirical_moment_model(design).second_moment)
+    values = empirical_moment_model(design).second_moment_eigenvalues
     if out is not None:
         write_canonical_csv(design.rows, out)
     table = Table(f"ingest:{Path(data).name}", ("value",))

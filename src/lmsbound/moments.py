@@ -117,6 +117,7 @@ class MomentModel:
 
     ``fourth_operator`` and ``f_hat`` are None for printed-moments models;
     ``sampling_cov`` is set when the law can be sampled (Gaussian specs).
+    ``second_moment_eigenvalues``, ascending, are solved once by the PSD check.
     """
 
     second_moment: np.ndarray
@@ -125,6 +126,7 @@ class MomentModel:
         default=None, repr=False)
     sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
     f_hat: Optional[np.ndarray] = field(default=None, repr=False)
+    second_moment_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = linalg.symmetrize(self.second_moment)
@@ -132,11 +134,11 @@ class MomentModel:
         if s.shape != m4.shape:
             raise DimMismatch(
                 f"second moment {s.shape} and fourth moment {m4.shape} disagree")
-        scale = max(1.0, float(np.linalg.norm(s)))
-        ok, margin = linalg.is_psd(s, _PSD_TOL * scale)
-        if not ok:
-            raise InvalidCovariance(f"second moment is not PSD (margin {margin:.3g})")
+        values = linalg.eigh(s).values
+        if values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(s))):
+            raise InvalidCovariance(f"second moment is not PSD (margin {values[0]:.3g})")
         self.second_moment = s
+        self.second_moment_eigenvalues = values
         self.m4 = m4
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)

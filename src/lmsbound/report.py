@@ -13,7 +13,8 @@ The report's protocol (noise level, true parameter, gain offset, shared
 start) comes from ``presets``: a caller chooses only the master seed, the
 horizon, the replication count and the certificate mode.  The error-bound
 table alone also takes a gain offset, noise level or fixed working gain,
-which the ``errorbound`` command sets for a single model.
+which the ``errorbound`` command sets for a single model.  The caller
+passes the models and, to the error-bound table, the ``supgain_results``.
 
 Cells are kept as raw values and formatted at serialization time: full
 precision (shortest round-trip) in CSV, four decimals in text mode, and
@@ -48,6 +49,8 @@ CRITERIA_ORDER = (
     CriterionKind.WIDROW_TRACE,
     CriterionKind.ZHU,
 )
+SKIPPED_NOTE = ("free-matrix certificates need a fourth-moment operator; "
+                "this model carries printed matrices only")
 
 
 @dataclass
@@ -151,16 +154,14 @@ class Table:
 
 def supgain_results(names: Sequence[str] = presets.BENCHMARK_NAMES,
                     criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
-                    mode: str = "relaxed",
-                    models: Optional[dict[str, MomentModel]] = None,
+                    mode: str = "relaxed", *,
+                    models: dict[str, MomentModel],
                     ) -> dict[tuple[str, CriterionKind], Optional[SupGainResult]]:
     """Sup gains for every (benchmark, criterion) pair; None marks a skip.
 
     A criterion that needs fourth-moment evaluations at general P (the
     free-matrix certificate) is skipped for printed-moments models.
     """
-    if models is None:
-        models = {name: presets.benchmark_model(name) for name in names}
     out: dict[tuple[str, CriterionKind], Optional[SupGainResult]] = {}
     for name in names:
         model = models[name]
@@ -174,9 +175,7 @@ def supgain_results(names: Sequence[str] = presets.BENCHMARK_NAMES,
 
 def _supgain_cell(result: Optional[SupGainResult]) -> Cell:
     if result is None:
-        return Cell(text="skipped",
-                    note="free-matrix certificates need a fourth-moment "
-                         "operator; this model carries printed matrices only")
+        return Cell(text="skipped", note=SKIPPED_NOTE)
     note = result.note
     if result.tolerance_limited:
         note = (note + "; " if note else "") + "tolerance-limited"
@@ -206,8 +205,8 @@ _CLASS_LETTER = {"bounded": "C", "diverged": "N", "indeterminate": "?"}
 
 def working_gain_simulations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
-        names: Sequence[str] = presets.BENCHMARK_NAMES,
-        models: Optional[dict[str, MomentModel]] = None,
+        names: Sequence[str] = presets.BENCHMARK_NAMES, *,
+        models: dict[str, MomentModel],
         k_max: int = presets.K_MAX,
         replications: int = presets.REPLICATIONS,
         master_seed: int = presets.DEFAULT_MASTER_SEED,
@@ -221,7 +220,7 @@ def working_gain_simulations(
     """
     out: dict[tuple[str, CriterionKind], Optional[SimResult]] = {}
     for name in names:
-        model = (models or {}).get(name) or presets.benchmark_model(name)
+        model = models[name]
         if model.sampling_cov is None:
             continue
         gains: dict[CriterionKind, float] = {}
@@ -233,7 +232,7 @@ def working_gain_simulations(
             if result.inapplicable or result.strictly_infeasible:
                 continue
             try:
-                gains[kind] = protocol_gain(result.sup_gain, presets.XI)
+                gains[kind] = protocol_gain(result.sup_gain)
             except GainTooLarge:
                 continue
         # Criteria often share a working gain; each distinct one runs once.
@@ -263,8 +262,8 @@ def _letters(simulations: dict[tuple[str, CriterionKind], Optional[SimResult]]
 
 def classification_annotations(
         results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
-        names: Sequence[str] = presets.BENCHMARK_NAMES,
-        models: Optional[dict[str, MomentModel]] = None,
+        names: Sequence[str] = presets.BENCHMARK_NAMES, *,
+        models: dict[str, MomentModel],
         master_seed: int = presets.DEFAULT_MASTER_SEED,
         ) -> dict[tuple[str, CriterionKind], str]:
     """Monte Carlo verdict letter per (benchmark, criterion) working gain.
@@ -276,15 +275,16 @@ def classification_annotations(
     replication count: one batched run per benchmark.
     """
     return _letters(working_gain_simulations(
-        results, names, models, master_seed=master_seed))
+        results, names, models=models, master_seed=master_seed))
 
 
 def build_errorbound_table(
-        names: Sequence[str] = ("1A", "1B", "1C", "1D"),
+        names: Sequence[str] = ("1A", "1B", "1C", "1D"), *,
+        models: dict[str, MomentModel],
+        results: dict[tuple[str, CriterionKind], Optional[SupGainResult]],
         mode: str = "relaxed",
         xi: float = presets.XI,
         sigma_eps: float = presets.SIGMA_EPS,
-        models: Optional[dict[str, MomentModel]] = None,
         gain: Optional[float] = None,
         simulations: Optional[dict[str, SimResult]] = None) -> Table:
     """Error-bound table at the identity-certificate working gain per benchmark.
@@ -292,19 +292,17 @@ def build_errorbound_table(
     Rows: the working gain, the maximal certified rates (free-matrix and
     identity certificates), the three asymptotic bounds, the Monte Carlo
     terminal error when ``simulations`` is given, and a flag row marking
-    tolerance-limited certificates.  A given ``gain`` replaces the working
-    gain derived from the corollary2 sup, which is then not searched.
-    ``simulations`` maps a benchmark to a run already made at its working
-    gain (``working_gain_simulations``); the table itself never simulates,
-    and a benchmark without a run gets an empty simulation cell.
+    tolerance-limited certificates.  The working gain comes from the
+    corollary2 sup in ``results`` (``supgain_results``) unless ``gain`` is
+    given.  ``simulations`` maps a benchmark to a run already made at its
+    working gain (``working_gain_simulations``); the table itself never
+    simulates, and a benchmark without a run gets an empty simulation cell.
     """
     columns: list[dict[str, Cell]] = []
     for name in names:
-        model = (models or {}).get(name) or presets.benchmark_model(name)
-        a = gain
-        if a is None:
-            base = sup_gain(model, CriterionKind.COROLLARY2, mode=mode)
-            a = protocol_gain(base.sup_gain, xi)
+        model = models[name]
+        a = gain if gain is not None else protocol_gain(
+            results[(name, CriterionKind.COROLLARY2)].sup_gain, xi)
         second = model.second_moment
         c2 = max_chi_search(model, CriterionKind.COROLLARY2, a, mode=mode)
         col = {"gain": Cell(value=a), "chi_corollary2": Cell(value=c2.chi),
@@ -321,9 +319,7 @@ def build_errorbound_table(
                 flags.append("theorem1 tolerance-limited")
         else:
             col["chi_theorem1"] = Cell(text="skipped")
-            col["theorem1"] = Cell(
-                text="skipped",
-                note="free-matrix certificates need a fourth-moment operator")
+            col["theorem1"] = Cell(text="skipped", note=SKIPPED_NOTE)
 
         col["zhu_criterion"] = Cell(value=asymptotic_bound(
             CriterionKind.ZHU, a, None, None, second, sigma_eps))
@@ -350,18 +346,20 @@ def write_benchmark_reports(out_dir: Union[str, Path],
     """Emit table3.csv (sup gains + classifications) and table4.csv (bounds)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = supgain_results(mode=mode)
+    models = {name: presets.benchmark_model(name) for name in presets.BENCHMARK_NAMES}
+    results = supgain_results(mode=mode, models=models)
     annotations = corollary2_runs = None
     if simulate:
         simulations = working_gain_simulations(
-            results, master_seed=master_seed, k_max=k_max,
+            results, models=models, master_seed=master_seed, k_max=k_max,
             replications=replications)
         annotations = _letters(simulations)
         # The error-bound working gain is the corollary2 one, already simulated.
         corollary2_runs = {name: sim for (name, kind), sim in simulations.items()
                            if kind is CriterionKind.COROLLARY2 and sim is not None}
     table3 = build_supgain_table(results=results, annotations=annotations)
-    table4 = build_errorbound_table(mode=mode, simulations=corollary2_runs)
+    table4 = build_errorbound_table(models=models, results=results, mode=mode,
+                                    simulations=corollary2_runs)
     path3 = out_dir / "table3.csv"
     path4 = out_dir / "table4.csv"
     table3.write(path3)

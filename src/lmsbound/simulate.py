@@ -125,7 +125,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import linalg
+from . import linalg, presets
 from .moments import DataMatrix, MomentModel
 
 DIVERGENCE_GUARD = 1e12
@@ -175,9 +175,9 @@ class SimConfig:
     model: MomentModel
     theta_star: np.ndarray
     gain: float
-    sigma_eps: float = 0.1
-    k_max: int = 10_000
-    replications: int = 1000
+    sigma_eps: float = presets.SIGMA_EPS
+    k_max: int = presets.K_MAX
+    replications: int = presets.REPLICATIONS
     master_seed: int = 0
     init: Union[str, np.ndarray] = "standard_normal"
     checkpoints: tuple[int, ...] = ()

@@ -127,8 +127,8 @@ def protocol_sims(models):
 
 
 @pytest.fixture(scope="module")
-def bound_table(models):
-    return report.build_errorbound_table(models=models)
+def bound_table(models, sup_results):
+    return report.build_errorbound_table(models=models, results=sup_results)
 
 
 def test_identity_certificate_sup_gains(models):

@@ -73,6 +73,41 @@ class TestLiteratureSups:
             0.1066, abs=1e-4)
         assert sup_gain(reed, K.ZHU).sup_gain == pytest.approx(0.0007, abs=1e-4)
 
+    def test_read_the_model_spectrum_without_an_eigensolver(self, monkeypatch):
+        models = {name: model(name) for name in presets.BENCHMARK_NAMES}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a literature criterion called an eigensolver")
+        for target in ("lmsbound.bounds.linalg.eigh", "numpy.linalg.eigh",
+                       "numpy.linalg.eigvalsh"):
+            monkeypatch.setattr(target, fail)
+        pinned = {
+            K.WIDROW_LAMBDA_MAX: {"1A": 2.0, "1B": 0.5, "1C": 2.0 / 1.5,
+                                  "1D": 1.0, "reed": 0.1169},
+            K.WIDROW_TRACE: {"1A": 1.0, "1B": 0.4, "1C": 1.0, "1D": 1.0,
+                             "reed": 0.1066},
+            K.ZHU: {"1A": 2.0, "1B": 0.125, "1C": 2.0 * 0.5 / 1.5**2,
+                    "1D": 0.0, "reed": 0.0007},
+        }
+        for kind, values in pinned.items():
+            for name, want in values.items():
+                tol = 1e-4 if name == "reed" else 1e-12
+                assert sup_gain(models[name], kind).sup_gain == pytest.approx(
+                    want, abs=tol), (kind, name)
+
+    # The first and the last law are singular relative to tr(S) but not to
+    # max(1, lambda_max(S)), so a tr(S) rule in the bound alone would give a
+    # positive Zhu sup with an infinite Zhu bound.
+    @pytest.mark.parametrize("diagonal", [
+        (1.0, 1.0, 1.5e-9), (1.0, 1.0, 0.5e-9), (1.0, 2e-9), (3.0, 3.0, 3.0, 2.5e-9),
+        (0.5, 0.5, 0.5, 0.5, 1.2e-9)])
+    def test_zhu_sup_and_bound_agree_on_singularity(self, diagonal):
+        law = gaussian_moment_model(np.diag(diagonal))
+        res = sup_gain(law, K.ZHU)
+        gain = res.sup_gain if res.sup_gain > 0 else 0.1
+        bound = asymptotic_bound(K.ZHU, gain, None, None, law.second_moment, 0.1)
+        assert res.inapplicable == np.isinf(bound)
+
 
 class TestIdentityCertificateSup:
     # sup over {a : lambda_max(a*M4 - 2*S) < 0}; exact values by hand

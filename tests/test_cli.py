@@ -174,6 +174,14 @@ class TestErrorbound:
         # identity rate at a = 0.1: min(2 - 0.7, 8 - 5.2) = 1.3
         assert float(rows["chi_corollary2"][0]) == pytest.approx(1.3, abs=1e-9)
 
+    def test_given_gain_searches_no_sup(self, runner, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("errorbound --gain must search no sup")
+        for target in ("lmsbound.bounds.sup_gain", "lmsbound.report.sup_gain"):
+            monkeypatch.setattr(target, fail)
+        res = run(runner, "errorbound", "--model", "1B", "--gain", "0.05")
+        assert res.exit_code == 0
+
     def test_printed_model_skips_free_route(self, runner):
         res = run(runner, "errorbound", "--model", "reed", "--format", "csv")
         rows = csv_rows(res.output)
@@ -472,6 +480,10 @@ class TestErrorContract:
         (("supgain", "--model", "1A", "--criteria", "widrow"),
          "unknown criterion 'widrow'; expected one of ['theorem1', 'corollary2', "
          "'widrow_lambda_max', 'widrow_trace', 'zhu_criterion']"),
+        (("supgain", "--model", "1A", "--criteria", ","),
+         "--criteria must name distinct criteria, got ','"),
+        (("supgain", "--model", "1A", "--criteria", "corollary2,corollary2"),
+         "--criteria must name distinct criteria, got 'corollary2,corollary2'"),
         (("errorbound", "--model", "1B", "--xi", "nan"),
          "xi must be positive and finite, got nan"),
         (("simulate", "--model", "1A"), "--gain is required for simulate"),
@@ -481,7 +493,8 @@ class TestErrorContract:
          "bad vector '0;1'; expected comma-separated numbers"),
         (("ingest-check", "--data", "rows.prn"), "--data and --recipe are required"),
     ], ids=["no-source", "two-sources", "unknown-model", "one-sigma",
-            "data-without-recipe", "unknown-criterion", "xi", "no-gain",
+            "data-without-recipe", "unknown-criterion", "empty-criteria",
+            "repeated-criteria", "xi", "no-gain",
             "theta-star", "init", "ingest-without-recipe"])
     def test_cli_input_checks_print_one_line(self, runner, args, message):
         res = run(runner, *args)
@@ -596,7 +609,7 @@ class TestIngestFuzz:
             path.write_text(text)
             args = ["supgain" if supgain else "ingest-check", "--data", str(path),
                     "--recipe", recipe]
-            if response is not None:
+            if response is not None and not supgain:
                 args += ["--response-col", str(response)]
             res = CliRunner().invoke(main, args)
         # supgain may also end in the documented numerical failure (exit 3).

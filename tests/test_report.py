@@ -3,6 +3,7 @@
 import csv
 
 from lmsbound import presets, report, simulate
+from lmsbound.bounds import CriterionKind
 from lmsbound.simulate import SimConfig
 
 
@@ -35,6 +36,30 @@ class TestSharedSimulations:
             assert float(mse) == alone.terminal_mse
 
 
+class TestEachModelSolvedOnce:
+    def test_report_builds_each_model_and_searches_each_sup_once(
+            self, tmp_path, monkeypatch):
+        counts = {"benchmark_model": 0, "sup_gain": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(presets, "benchmark_model",
+                            counting("benchmark_model", presets.benchmark_model))
+        monkeypatch.setattr(report, "sup_gain", counting("sup_gain", report.sup_gain))
+        report.write_benchmark_reports(tmp_path, simulate=False)
+        # Five criteria on five models, less theorem1 on the printed-moments one.
+        assert counts == {"benchmark_model": 5, "sup_gain": 24}
+
+
+def _inputs(names):
+    models = {name: presets.benchmark_model(name) for name in names}
+    return models, report.supgain_results(
+        names, (CriterionKind.COROLLARY2,), models=models)
+
+
 class TestErrorboundTableNeverSimulates:
     @staticmethod
     def _forbid_runs(monkeypatch):
@@ -44,23 +69,26 @@ class TestErrorboundTableNeverSimulates:
 
     def test_no_simulation_row_without_runs(self, monkeypatch):
         self._forbid_runs(monkeypatch)
+        models, results = _inputs(("1A", "1B"))
         table = report.build_errorbound_table(
-            models={name: presets.benchmark_model(name) for name in ("1A", "1B")},
-            names=("1A", "1B"))
+            models=models, results=results, names=("1A", "1B"))
         assert [label for label, _ in table.rows][-1] == "flags"
         assert "simulation" not in [label for label, _ in table.rows]
 
     def test_simulation_row_shows_the_given_run(self, monkeypatch):
-        model = presets.benchmark_model("1B")
+        models, results = _inputs(("1A", "1B"))
+        model = models["1B"]
         seed = presets.DEFAULT_MASTER_SEED
-        gain = report.build_errorbound_table(names=("1B",)).row("gain")[0].value
+        gain = report.build_errorbound_table(
+            names=("1B",), models=models, results=results).row("gain")[0].value
         sim = simulate.run_lms(SimConfig(
             model=model, theta_star=presets.protocol_theta_star(model.dim),
             gain=gain, sigma_eps=presets.SIGMA_EPS, k_max=40, replications=6,
             master_seed=seed, init=presets.protocol_init(seed, model.dim)))
         self._forbid_runs(monkeypatch)
         table = report.build_errorbound_table(
-            names=("1A", "1B"), simulations={"1B": sim})
+            names=("1A", "1B"), models=models, results=results,
+            simulations={"1B": sim})
         cells = table.row("simulation")
         assert cells[0].value is None and cells[0].text == ""
         assert cells[1].value == sim.terminal_mse
