@@ -6,6 +6,16 @@ while ``lmi.check_certificate`` uses only this module, so the re-check of a
 certificate shares no eigensolver with the search that produced it.
 Matrices are plain float64 numpy arrays; symmetric inputs are re-symmetrized
 at the boundary and validated for finiteness.
+
+``eigh`` rotates Python lists of floats, not numpy rows: its matrices are
+2 x 2 to about 21 x 21, where one numpy call on a length-n row costs more
+than the n products it forms.  Each rotation does the element operations of
+the numpy row-and-column formulation in the same order (rows, then columns,
+then the zeroed pair, then the eigenvectors), so the results are the same to
+the bit, with one code path for every n.  Both hypot values come from
+``np.hypot``, because ``math.hypot`` rounds hypot(1, x) differently on about
+one argument in a thousand, and each sweep stops on numpy's Frobenius norm
+of the off-diagonal part, so every stop decision is numpy's.
 """
 
 from __future__ import annotations
@@ -62,51 +72,60 @@ def eigh(a) -> EigenDecomp:
     """
     A = symmetrize(a).copy()
     n = A.shape[0]
-    V = np.eye(n)
     if n == 1:
-        return EigenDecomp(A[0, :1].copy(), V)
+        return EigenDecomp(A[0, :1].copy(), np.eye(1))
 
     norm_a = float(np.linalg.norm(A))
     tol = _JACOBI_TOL * max(norm_a, np.finfo(float).tiny)
+    skip = tol / (n * n)
+    rows = A.tolist()
+    vt = np.eye(n).tolist()   # vt[j] is eigenvector column j
 
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol:
+        if np.linalg.norm(A - np.diag(np.diag(A))) <= tol:
             break
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol / (n * n):
+                apq = row_p[q]
+                if abs(apq) <= skip:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                row_q = rows[q]
+                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
                 if theta == 0.0:
                     t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
+                else:
+                    sign = 1.0 if theta > 0.0 else -1.0
+                    t = sign / (abs(theta) + float(np.hypot(1.0, theta)))
+                c = 1.0 / float(np.hypot(1.0, t))
                 s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                for j in range(n):
+                    x, y = row_p[j], row_q[j]
+                    row_p[j] = c * x - s * y
+                    row_q[j] = s * x + c * y
+                for row in rows:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p[q] = row_q[p] = 0.0
+                v_p, v_q = vt[p], vt[q]
+                for j in range(n):
+                    x, y = v_p[j], v_q[j]
+                    v_p[j] = c * x - s * y
+                    v_q[j] = s * x + c * y
+        A = np.array(rows)
     else:
         raise NonConvergence("Jacobi sweeps did not converge")
 
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = V[:, order]
-    # Fix each eigenvector's sign by its largest-magnitude component.
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return EigenDecomp(values, vectors)
+    # Stable ascending order; each eigenvector's largest-magnitude component
+    # (the first, on ties) is made positive.
+    order = sorted(range(n), key=lambda j: rows[j][j])
+    vectors = []
+    for j in order:
+        v = vt[j]
+        k = max(range(n), key=lambda i: abs(v[i]))
+        vectors.append(v if v[k] >= 0.0 else [-x for x in v])
+    return EigenDecomp(np.array([rows[j][j] for j in order]), np.array(vectors).T)
 
 
 def cholesky(a) -> np.ndarray:

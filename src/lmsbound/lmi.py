@@ -11,8 +11,8 @@ equivalently T(P) <= (1 - a*chi) P for the one-step mean-square map
 On the d = m(m+1)/2 dimensional space of symmetric matrices, with the
 orthonormal basis ``sym_basis`` as the rows of K, L(P) = S P + P S and F
 are d x d symmetric positive semidefinite matrices (``operator_matrices``):
-L^ = K (S kron I + I kron S) K^T, and F^, the Gram matrix built with the
-model.  T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive
+L^ = K (S kron I + I kron S) K^T and F^, the Gram matrix, both built once
+with the model.  T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive
 definite P with T(P) < gamma P exists iff rho(T) < gamma
 (Collatz-Wielandt), and one eigendecomposition of T^ = V diag(lambda) V^T
 both decides the inequality and yields a certificate in closed form: with
@@ -133,12 +133,10 @@ def check_certificate(model: MomentModel, cert: GainCertificate,
 
 
 def operator_matrices(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
-    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``; F^ is the model's own."""
+    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``, both kept on the model."""
     if model.f_hat is None:
         raise UnsupportedOperator("a printed-moments model has no F^")
-    s, eye = model.second_moment, np.eye(model.dim)
-    k = sym_basis(model.dim).reshape(-1, s.size)
-    return k @ (np.kron(s, eye) + np.kron(eye, s)) @ k.T, model.f_hat
+    return model.l_hat, model.f_hat
 
 
 def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:

@@ -5,7 +5,9 @@ moment S = E[h h^T], the linear operator F(P) = E[(h^T P h) h h^T], and
 ``f_hat``, the matrix F^ of F on the orthonormal symmetric basis
 ``sym_basis`` B_1..B_d (d = m(m+1)/2).  With c_i = h^T B_i h,
 <B_i, F(B_j)> = E[c_i c_j], so F^ = E[c c^T] is a positive semidefinite
-Gram matrix, built once with the model, in any dimension.
+Gram matrix, built once with the model, in any dimension.  Next to it the
+model keeps ``l_hat``, the matrix L^ = K (S kron I + I kron S) K^T of
+L(P) = S P + P S on the same basis.
 
 For zero-mean Gaussian regressors (Isserlis' theorem, symmetric P)
 F(P) = 2 S P S + S tr(P S) and F^ = 2 K (S kron S) K^T + k k^T, where K
@@ -13,8 +15,10 @@ stacks the vec(B_i) as rows and k = K vec(S).  An empirical model reduces
 its rows H in a fixed chunk order with compensated (Kahan) summation, so
 the result is repeatable to the bit: S and F^ = C^T C / n in one pass, and
 each F(P) = (H o w)^T H / n with w = rowsum((H P) o H) in another.  An
-explicit model carries printed matrices S and M4 = F(I) only: F^ is None
-and F(P) raises UnsupportedOperator unless P = I.
+explicit model carries printed matrices S and M4 = F(I) only: F^ and L^ are
+None and F(P) raises UnsupportedOperator unless P = I.  A law whose M4 or
+F^ overflows float64 is an input error (InvalidCovariance), raised before
+any warning is printed.
 
 The certificate search reads S, M4 and F^ only; the certificate check
 evaluates F(P) from the law and never reads F^.
@@ -59,7 +63,11 @@ class GaussianSpec:
 
     def __post_init__(self):
         cov = linalg.symmetrize(self.covariance)
-        ok, margin = linalg.is_psd(cov, _PSD_TOL * max(1.0, float(np.linalg.norm(cov))))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(cov))
+        # tr(M4) = 2 ||S||_F^2 + tr(S)^2, so M4 overflows when the norm does.
+        _require_finite({"M4": norm})
+        ok, margin = linalg.is_psd(cov, _PSD_TOL * max(1.0, norm))
         if not ok:
             raise InvalidCovariance(f"covariance is not PSD (min eigenvalue {margin:.3g})")
         object.__setattr__(self, "covariance", cov)
@@ -115,9 +123,10 @@ class DataMatrix:
 class MomentModel:
     """Second moment plus fourth-moment operator for one regressor law.
 
-    ``fourth_operator`` and ``f_hat`` are None for printed-moments models;
-    ``sampling_cov`` is set when the law can be sampled (Gaussian specs).
-    ``second_moment_eigenvalues``, ascending, are solved once by the PSD check.
+    ``fourth_operator``, ``f_hat`` and ``l_hat`` are None for printed-moments
+    models; ``sampling_cov`` is set when the law can be sampled (Gaussian
+    specs).  ``second_moment_eigenvalues``, ascending, are solved once by the
+    PSD check.
     """
 
     second_moment: np.ndarray
@@ -127,6 +136,7 @@ class MomentModel:
     sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
     f_hat: Optional[np.ndarray] = field(default=None, repr=False)
     second_moment_eigenvalues: np.ndarray = field(init=False, repr=False)
+    l_hat: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         s = linalg.symmetrize(self.second_moment)
@@ -142,6 +152,9 @@ class MomentModel:
         self.m4 = m4
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)
+            eye = np.eye(self.dim)
+            k = sym_basis(self.dim).reshape(-1, s.size)
+            self.l_hat = k @ (np.kron(s, eye) + np.kron(eye, s)) @ k.T
 
     @property
     def dim(self) -> int:
@@ -182,6 +195,14 @@ def sym_basis(m: int) -> np.ndarray:
     return basis
 
 
+def _require_finite(fourth_moments: dict) -> None:
+    """Raise InvalidCovariance naming the first fourth moment that overflowed."""
+    for name, value in fourth_moments.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidCovariance(
+                f"the fourth moment {name} overflows float64; rescale the regressors")
+
+
 def _wick_operator(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def apply(P: np.ndarray) -> np.ndarray:
         return 2.0 * cov @ P @ cov + cov * float(np.trace(P @ cov))
@@ -195,14 +216,13 @@ def gaussian_moment_model(spec: GaussianSpec | np.ndarray) -> MomentModel:
     cov = spec.covariance
     op = _wick_operator(cov)
     k = sym_basis(spec.dim).reshape(-1, cov.size)
-    k_s = k @ cov.ravel()
-    return MomentModel(
-        second_moment=cov,
-        m4=op(np.eye(spec.dim)),
-        fourth_operator=op,
-        sampling_cov=cov,
-        f_hat=2.0 * k @ np.kron(cov, cov) @ k.T + np.outer(k_s, k_s),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_s = k @ cov.ravel()
+        m4 = op(np.eye(spec.dim))
+        f_hat = 2.0 * k @ np.kron(cov, cov) @ k.T + np.outer(k_s, k_s)
+    _require_finite({"M4": m4, "F^": f_hat})
+    return MomentModel(second_moment=cov, m4=m4, fourth_operator=op,
+                       sampling_cov=cov, f_hat=f_hat)
 
 
 def explicit_moment_model(second_moment, m4) -> MomentModel:
@@ -234,14 +254,6 @@ def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
     n, m = rows.shape
     k = sym_basis(m).reshape(-1, m * m)
 
-    second, comp2 = np.zeros((m, m)), np.zeros((m, m))
-    f_hat, comp4 = np.zeros((len(k), len(k))), np.zeros((len(k), len(k)))
-    for start in range(0, n, _CHUNK):
-        h = rows[start:start + _CHUNK]
-        c = (h[:, :, None] * h[:, None, :]).reshape(len(h), m * m) @ k.T
-        _kahan_add(second, comp2, h.T @ h)
-        _kahan_add(f_hat, comp4, c.T @ c)
-
     def apply(P: np.ndarray) -> np.ndarray:
         out, comp = np.zeros((m, m)), np.zeros((m, m))
         for start in range(0, n, _CHUNK):
@@ -250,9 +262,15 @@ def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
             _kahan_add(out, comp, (h * w[:, None]).T @ h)
         return out / n
 
-    return MomentModel(
-        second_moment=second / n,
-        m4=apply(np.eye(m)),
-        fourth_operator=apply,
-        f_hat=f_hat / n,
-    )
+    second, comp2 = np.zeros((m, m)), np.zeros((m, m))
+    f_hat, comp4 = np.zeros((len(k), len(k))), np.zeros((len(k), len(k)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _CHUNK):
+            h = rows[start:start + _CHUNK]
+            c = (h[:, :, None] * h[:, None, :]).reshape(len(h), m * m) @ k.T
+            _kahan_add(second, comp2, h.T @ h)
+            _kahan_add(f_hat, comp4, c.T @ c)
+        m4 = apply(np.eye(m))
+    _require_finite({"M4": m4, "F^": f_hat})
+    return MomentModel(second_moment=second / n, m4=m4, fourth_operator=apply,
+                       f_hat=f_hat / n)

@@ -172,6 +172,22 @@ class TestFreeCertificateSup:
         with pytest.raises(UnsupportedOperator):
             sup_gain(m, K.THEOREM1)
 
+    def test_searches_read_the_operator_matrices_off_the_model(self, monkeypatch):
+        models = {name: model(name) for name in ("1A", "1B", "1C")}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("L^ was rebuilt after the model")
+        monkeypatch.setattr("numpy.kron", fail)
+        for name, expected in [("1A", 0.5), ("1B", (15.0 - np.sqrt(97.0)) / 32.0),
+                               ("1C", 1.0 - 1.0 / np.sqrt(3.0))]:
+            assert sup_gain(models[name], K.THEOREM1).sup_gain == pytest.approx(
+                expected, abs=5e-4), name
+        for name, a, expected, tol in [("1A", 0.4999, 0.0004, 5e-5),
+                                       ("1B", 0.1537, 0.313857, 2e-3),
+                                       ("1C", 0.3999, 0.140049, 2e-3)]:
+            assert max_chi_search(models[name], K.THEOREM1, a).chi == pytest.approx(
+                expected, abs=tol), name
+
 
 class TestAnalyticSups:
     @pytest.mark.parametrize("name,kind,expected", [

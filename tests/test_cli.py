@@ -502,6 +502,23 @@ class TestErrorContract:
         assert res.stderr.splitlines() == [f"error: {message}"]
         assert "Usage:" not in res.output
 
+    # A law whose fourth moment overflows float64 is an input error, reported
+    # before numpy can print an overflow warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ("supgain", "--sigma1", "1e100", "--sigma2", "1e100"),
+        ("simulate", "--sigma1", "1e100", "--sigma2", "1e100", "--gain", "0.1",
+         "--iters", "5", "--reps", "2"),
+        ("supgain", "--data", "{rows}", "--recipe", "column(0), column(1)"),
+    ], ids=["gaussian", "simulate", "data"])
+    def test_overflowing_fourth_moment_prints_one_line(self, runner, tmp_path, args):
+        rows = tmp_path / "rows.prn"
+        rows.write_text("1e100 2e100\n-3e100 1e100\n2e99 5e100\n")
+        res = run(runner, *(arg.format(rows=rows) for arg in args))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: the fourth moment M4 overflows float64; rescale the regressors"]
+
     def test_click_parse_errors_keep_the_usage_block(self, runner):
         res = run(runner, "errorbound", "--model", "1A", "--xi", "abc")
         assert res.exit_code == 2

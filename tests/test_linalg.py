@@ -70,6 +70,101 @@ class TestEigh:
         np.testing.assert_allclose(values, [0.0, 2.0], atol=1e-14)
 
 
+def reference_eigh(a):
+    """``linalg.eigh`` as it stood with numpy row and column rotations.
+
+    Kept verbatim as the reference the float rotations must match bit for bit.
+    """
+    A = linalg.symmetrize(a).copy()
+    n = A.shape[0]
+    V = np.eye(n)
+    if n == 1:
+        return linalg.EigenDecomp(A[0, :1].copy(), V)
+
+    norm_a = float(np.linalg.norm(A))
+    tol = linalg._JACOBI_TOL * max(norm_a, np.finfo(float).tiny)
+
+    for _ in range(linalg._JACOBI_MAX_SWEEPS):
+        off = np.linalg.norm(A - np.diag(np.diag(A)))
+        if off <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= tol / (n * n):
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                rp, rq = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                A[p, q] = A[q, p] = 0.0
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    else:
+        raise linalg.NonConvergence("Jacobi sweeps did not converge")
+
+    values = np.diag(A).copy()
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = V[:, order]
+    for j in range(n):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[k, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return linalg.EigenDecomp(values, vectors)
+
+
+def matrix_kinds(n, seed):
+    """Named test matrices of size n: every kind the solver must agree on."""
+    rng = np.random.default_rng([n, seed])
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    psd = b @ b.T
+    u = rng.standard_normal(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signed_zeros = (a + a.T) / 2.0
+    signed_zeros[rng.random((n, n)) < 0.3] = -0.0
+    signed_zeros[rng.random((n, n)) < 0.2] = 0.0
+    return {
+        "symmetric": (a + a.T) / 2.0,
+        "non_symmetric": a,
+        "psd": psd,
+        "psd_1e-12": psd * 1e-12,
+        "psd_1e12": psd * 1e12,
+        "diagonal": np.diag(rng.standard_normal(n)),
+        "repeated": q @ np.diag(rng.integers(0, 3, n).astype(float)) @ q.T,
+        "zero": np.zeros((n, n)),
+        "negative_definite": -psd - np.eye(n),
+        "rank_one": np.outer(u, u),
+        "signed_zeros": signed_zeros,
+        "ones_plus_identity": np.ones((n, n)) + np.eye(n),
+    }
+
+
+class TestEighBits:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_numpy_rotations_bit_for_bit(self, n):
+        for seed in range(3):
+            for kind, a in matrix_kinds(n, seed).items():
+                for got, want in zip(linalg.eigh(a), reference_eigh(a)):
+                    assert np.array_equal(got, want), (kind, seed)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_zero_sweeps_raise(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(linalg.NonConvergence):
+            linalg.eigh(random_symmetric(3, seed=0))
+
+
 class TestCholesky:
     @pytest.mark.parametrize("m", [1, 2, 4, 7])
     def test_factorizes(self, m):
