@@ -8,14 +8,15 @@ Matrices are plain float64 numpy arrays; symmetric inputs are re-symmetrized
 at the boundary and validated for finiteness.
 
 ``eigh`` rotates Python lists of floats, not numpy rows: its matrices are
-2 x 2 to about 21 x 21, where one numpy call on a length-n row costs more
-than the n products it forms.  Each rotation does the element operations of
-the numpy row-and-column formulation in the same order (rows, then columns,
-then the zeroed pair, then the eigenvectors), so the results are the same to
-the bit, with one code path for every n.  Both hypot values come from
-``np.hypot``, because ``math.hypot`` rounds hypot(1, x) differently on about
-one argument in a thousand, and each sweep stops on numpy's Frobenius norm
-of the off-diagonal part, so every stop decision is numpy's.
+m x m (S, M4, P, Q(P), covariances, Gram matrices), where one numpy call on
+a length-m row costs more than the m products it forms.  Each rotation does
+the element operations of the numpy row-and-column formulation in the same
+order (rows, then columns, then the zeroed pair, then the eigenvectors), so
+the results are the same to the bit, with one code path for every n.  Both
+hypot values come from ``np.hypot``, because ``math.hypot`` rounds
+hypot(1, x) differently on about one argument in a thousand, and each sweep
+stops on numpy's Frobenius norm of the off-diagonal part, so every stop
+decision is numpy's.
 """
 
 from __future__ import annotations
@@ -67,15 +68,19 @@ def eigh(a) -> EigenDecomp:
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvector columns.  Sweeps run until the off-diagonal Frobenius mass
-    drops below 1e-12 * ||A||_F.  Deterministic: identical input bytes give
-    identical output bytes.
+    drops below 1e-12 * ||A||_F, so a matrix whose sum of squares overflows
+    float64 raises ``InvalidMatrix``.  Deterministic: identical input bytes
+    give identical output bytes.
     """
     A = symmetrize(a).copy()
     n = A.shape[0]
     if n == 1:
         return EigenDecomp(A[0, :1].copy(), np.eye(1))
 
-    norm_a = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):
+        norm_a = float(np.linalg.norm(A))
+    if not np.isfinite(norm_a):
+        raise InvalidMatrix("the sum of squares overflows float64; rescale the input")
     tol = _JACOBI_TOL * max(norm_a, np.finfo(float).tiny)
     skip = tol / (n * n)
     rows = A.tolist()

@@ -9,8 +9,9 @@ reproduces the same numbers.  Per replication the draw order is fixed: the
 initial estimate (m standard normals, when the init law is random), then per
 step m standard normals for the regressor and one for the measurement noise.
 Replications are reduced in index order, and every result is fully
-deterministic: it does not depend on the chunk length or on which process
-draws the streams.
+deterministic: it does not depend on the chunk length, on where guard
+blocks end or on which process draws the streams.  So the values a run
+reaches at step c are those of the same run with ``k_max = c``.
 
 Chunks and the draw helper
 --------------------------
@@ -64,26 +65,25 @@ error norm exceeds 1e12 is frozen (short-circuited) to avoid overflow,
 keeping its first value beyond the guard (1e18 if it overflowed); the
 freeze threshold sits far above the 1e8 divergence classification line so
 no borderline run is misclassified.  A gain whose replications are all
-frozen leaves the batch on that step (its ``settled_step``), its later
-checkpoints take its frozen mean, and drawing stops once no gain is left.
+frozen leaves the batch on that step (its ``settled_step``), and drawing
+stops once no gain is left.
 
 The per-block guard
 -------------------
 Each step writes its new state into slot j of a small history buffer of
-up to ``_block_steps`` steps (32, fewer when m * G * R is large), and the
-guard reads the block's squared error norms at its end, in a few calls
-over the whole block.  A block also ends at every checkpoint and at each
-chunk end.  A frozen replication's value is kept in a separate (G, R)
-array, and its state is parked at zero error (theta* - origin) with scale
-0, so from then on its squared norm reads exactly 0.  A block whose
-largest norm is within the guard therefore has no replication that
-crossed it.  Otherwise (NaN included) each crossing replication is frozen
-at the value and step of its first crossing within the block and parked,
-and the gains left without a live replication leave the batch.  This
-gives the bits of a guard read on every step: replications never
-interact, and a frozen replication's later trajectory, which the block
-went on stepping, is discarded.  The kept values are merged back in at
-checkpoints and at the end.
+up to ``_block_steps`` steps (32, fewer when m * G * R is large); a block
+also ends at each chunk end and at ``k_max``.  The guard reads the block's
+squared error norms at its end, in a few calls over the whole block.  A
+frozen replication's value is kept in a separate (G, R) array, and its
+state is parked at zero error (theta* - origin) with scale 0, so from then
+on its squared norm reads exactly 0.  A block whose largest norm is within
+the guard therefore has no replication that crossed it.  Otherwise (NaN
+included) each crossing replication is frozen at the value and step of its
+first crossing within the block and parked, and the gains left without a
+live replication leave the batch.  This gives the bits of a guard read on
+every step: replications never interact, and a frozen replication's later
+trajectory, which the block went on stepping, is discarded.  The kept
+values are merged back in at the end.
 
 Exact row reductions
 --------------------
@@ -116,7 +116,6 @@ handles exactly singular covariances without any jitter.
 
 from __future__ import annotations
 
-import bisect
 import os
 import signal
 import warnings
@@ -180,7 +179,6 @@ class SimConfig:
     replications: int = presets.REPLICATIONS
     master_seed: int = 0
     init: Union[str, np.ndarray] = "standard_normal"
-    checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.theta_star = np.asarray(self.theta_star, dtype=float)
@@ -197,8 +195,9 @@ class SimConfig:
         if not (self.sigma_eps >= 0 and np.isfinite(self.sigma_eps)):
             raise ValueError(
                 f"sigma_eps must be finite and nonnegative, got {self.sigma_eps}")
-        if self.k_max < 1 or self.replications < 1:
-            raise ValueError("k_max and replications must be at least 1")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and v >= 1 for v in (self.k_max, self.replications)):
+            raise ValueError("k_max and replications must be integers of at least 1")
         if not isinstance(self.init, str):
             self.init = np.asarray(self.init, dtype=float)
             if self.init.shape != (self.model.dim,):
@@ -207,10 +206,6 @@ class SimConfig:
                 raise ValueError(f"fixed init vector must be finite, got {self.init}")
         elif self.init != "standard_normal":
             raise ValueError(f"unknown init law {self.init!r}")
-        self.checkpoints = tuple(sorted(set(int(k) for k in self.checkpoints)))
-        if self.checkpoints and (self.checkpoints[0] < 1
-                                 or self.checkpoints[-1] > self.k_max):
-            raise ValueError("checkpoints must lie in [1, k_max]")
 
 
 @dataclass
@@ -220,7 +215,6 @@ class SimResult:
     classification: str
     per_replication: np.ndarray = field(repr=False)
     diverged_count: int
-    checkpoint_mse: dict[int, float]
     master_seed: int
     k_max: int
     replications: int
@@ -345,7 +339,6 @@ def _draw_chunk(streams: _Streams) -> np.ndarray:
 
 
 def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
-              checkpoint_mse: dict[int, float],
               settled_step: Optional[int]) -> SimResult:
     per_rep = sq.copy()
     mse = float(np.mean(per_rep))
@@ -356,7 +349,6 @@ def _finalize(config: SimConfig, sq: np.ndarray, live: np.ndarray,
         classification=classify(mse),
         per_replication=per_rep,
         diverged_count=int(np.sum(~live)),
-        checkpoint_mse=checkpoint_mse,
         master_seed=config.master_seed,
         k_max=config.k_max,
         replications=config.replications,
@@ -458,7 +450,6 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     # Per gain: final squared norms, live mask and the step it settled on.
     finals: list[Optional[tuple[np.ndarray, np.ndarray, Optional[int]]]] = (
         [None] * len(configs))
-    checkpoint_mse: list[dict[int, float]] = [{} for _ in configs]
 
     def norms(states: np.ndarray) -> np.ndarray:
         """Squared error norms of (..., m, G, R) states, which are overwritten."""
@@ -470,7 +461,7 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
         """Freeze each row at its first crossing among the (n, G, R) norms of
         steps before + 1 .. before + n; let every gain left without a live
         row leave the batch."""
-        nonlocal state, sq, live, frozen, gain, order
+        nonlocal state, live, frozen, gain, order, history
         crossing = ~(sqs <= DIVERGENCE_GUARD)  # NaN fails the comparison
         first = crossing.argmax(axis=0)
         crossed = crossing.any(axis=0)
@@ -483,22 +474,19 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
             settled = before + 1 + np.where(crossed, first, 0).max(axis=1)
             for j in np.flatnonzero(~keep):
                 finals[order[j]] = frozen[j], live[j], int(settled[j])
-            state, sq, live, frozen = (
-                state[:, keep], sq[keep], live[keep], frozen[keep])
-            gain, order = gain[keep], order[keep]
+            state, live, frozen = state[:, keep], live[keep], frozen[keep]
+            gain, order, history = gain[keep], order[keep], history[:, :, keep]
 
+    block = _block_steps(m, len(configs), reps)
+    history = np.empty((block,) + state.shape)
     # A start beyond the guard freezes at once; a gain frozen from the start
     # leaves the batch on step 1.
-    sq = norms(state.copy())
-    freeze(sq[None], 0)
+    freeze(norms(state.copy())[None], 0)
     scale = gain * live
-    checkpoints = list(config.checkpoints) + [k_max]
     chunk = min(_CHUNK_STEPS, k_max)
-    block = _block_steps(m, len(configs), reps)
     h_rows = np.empty((chunk, reps, m))
     hs = np.empty((chunk, m, 1, reps))
     noise = np.empty((chunk, 1, reps))
-    history = np.empty(0)
 
     step_no = 0
     with _Streams(gens, k_max, chunk, m) as streams:
@@ -514,36 +502,23 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
             zs = measure(hs[:length], noise[:length])
             start, end = step_no, step_no + length
             while step_no < end and len(order):
-                stop = checkpoints[bisect.bisect_right(checkpoints, step_no)]
-                n = min(block, end - step_no, stop - step_no)
-                if history.shape[1:] != state.shape:
-                    history = np.empty((block,) + state.shape)
+                n = min(block, end - step_no)
                 i = step_no - start
                 np.copyto(state, _steps(state, hs[i:i + n], zs[i:i + n], scale,
                                         history[:n]))
                 sqs = norms(history[:n])
-                sq = sqs[-1]
                 # Parked rows read 0, so a maximum within the guard means
                 # that no live row crossed it.
                 if not sqs.max() <= DIVERGENCE_GUARD:
                     freeze(sqs, step_no)
                     scale = gain * live
                 step_no += n
-                if step_no in config.checkpoints:
-                    merged = np.where(live, sq, frozen)
-                    for j, index in enumerate(order):
-                        checkpoint_mse[index][step_no] = float(np.mean(merged[j]))
 
-    merged = np.where(live, sq, frozen)
+    merged = np.where(live, norms(state.copy()), frozen)
     for j, index in enumerate(order):
         finals[index] = merged[j], live[j], None
-    results = SimBatch()
-    for index, cfg in enumerate(configs):
-        row, row_live, settled_step = finals[index]
-        frozen_mse = float(np.mean(row))
-        results.append(_finalize(cfg, row, row_live, {
-            k: checkpoint_mse[index].get(k, frozen_mse) for k in config.checkpoints},
-            settled_step))
+    results = SimBatch(_finalize(cfg, *finals[index])
+                       for index, cfg in enumerate(configs))
     return results[0] if gains is None else results
 
 

@@ -519,6 +519,17 @@ class TestErrorContract:
         assert res.stderr.splitlines() == [
             "error: the fourth moment M4 overflows float64; rescale the regressors"]
 
+    # A printed second moment whose Frobenius norm overflows float64 is an
+    # input error, reported before numpy can print an overflow warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_second_moment_prints_one_line(self, runner, tmp_path):
+        moments = tmp_path / "moments.prn"
+        moments.write_text("1e200 5e199\n5e199 1e200\n1 0\n0 1\n")
+        res = run(runner, "supgain", "--moments-file", str(moments))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: the sum of squares overflows float64; rescale the input"]
+
     def test_click_parse_errors_keep_the_usage_block(self, runner):
         res = run(runner, "errorbound", "--model", "1A", "--xi", "abc")
         assert res.exit_code == 2

@@ -69,6 +69,14 @@ class TestEigh:
         values, vectors = linalg.eigh(np.outer(u, u))
         np.testing.assert_allclose(values, [0.0, 2.0], atol=1e-14)
 
+    def test_overflowing_norm_raises(self):
+        # ||A||_F overflows float64 although every entry is finite; the
+        # sweeps' stop test would pass before any rotation.
+        with pytest.raises(linalg.InvalidMatrix, match="sum of squares overflows"):
+            linalg.eigh([[1e200, 5e199], [5e199, 1e200]])
+        values, _ = linalg.eigh([[1e150, 5e149], [5e149, 1e150]])
+        np.testing.assert_allclose(values, [5e149, 1.5e150], rtol=1e-12)
+
 
 def reference_eigh(a):
     """``linalg.eigh`` as it stood with numpy row and column rotations.

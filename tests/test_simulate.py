@@ -101,19 +101,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k_max and replications"):
             config(replications=0)
 
+    @pytest.mark.parametrize("name", ["k_max", "replications"])
+    @pytest.mark.parametrize("bad", [10.5, 2.5, 10.0, True])
+    def test_protocol_sizes_are_integers(self, name, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            config(**{name: bad})
+
+    def test_numpy_integer_sizes(self):
+        res = run_lms(config(k_max=np.int64(5), replications=np.int32(3)))
+        assert res.k_max == 5 and len(res.per_replication) == 3
+
     def test_init_law(self):
         with pytest.raises(ValueError, match="unknown init law"):
             config(init="zeros-ish")
         with pytest.raises(ValueError, match="wrong shape"):
             config(init=np.zeros(3))
-
-    def test_checkpoints_in_range(self):
-        with pytest.raises(ValueError, match="checkpoints"):
-            config(checkpoints=(0,))
-        with pytest.raises(ValueError, match="checkpoints"):
-            config(checkpoints=(201,))
-        cfg = config(checkpoints=(50, 10, 50))
-        assert cfg.checkpoints == (10, 50)
 
 
 class TestDeterminism:
@@ -162,12 +164,16 @@ class TestErrorRecursionEquivalence:
                            rtol=1e-10, atol=1e-12)
 
 
-def reference_run_lms(config):
+def reference_run_lms(config, horizons=()):
     """The single-gain LMS loop as it stood before gains were batched.
 
     Kept verbatim (list-and-stack draws, freeze bookkeeping on every step)
-    as the reference the batched kernel must match bit for bit.  Also
-    returns the step on which the last replication froze (None if never).
+    as the reference the batched kernel must match bit for bit.  Returns,
+    for each step in ``horizons`` and for ``k_max``, the state a run with
+    that ``k_max`` ends in: the squared norms, the number of frozen
+    replications and the step on which the last one froze (None if not yet).
+    The loop ends once every replication has frozen, as no later step
+    changes the state.
     """
     m = config.model.dim
     factor = simulate.sampling_factor(config.model.sampling_cov)
@@ -179,11 +185,11 @@ def reference_run_lms(config):
     err = theta - theta_star
     sq = np.einsum("ri,ri->r", err, err)
     active = (sq <= DIVERGENCE_GUARD).astype(float)
-    checkpoint_mse = {}
     settled_at = None
+    states = {}
 
     step = 0
-    while step < config.k_max:
+    while step < config.k_max and settled_at is None:
         length = min(simulate._CHUNK_STEPS, config.k_max - step)
         draws = np.stack([g.standard_normal((length, m + 1)) for g in gens])
         for i in range(length):
@@ -201,11 +207,23 @@ def reference_run_lms(config):
                           np.where(was_active, frozen, sq))
             active = active * ok.astype(float)
             step += 1
-            if step in config.checkpoints:
-                checkpoint_mse[step] = float(np.mean(sq))
-            if settled_at is None and not active.any():
+            if not active.any():
                 settled_at = step
-    return sq, int(np.sum(~active.astype(bool))), checkpoint_mse, settled_at
+            if step in horizons:
+                states[step] = sq, int(np.sum(~active.astype(bool))), settled_at
+            if settled_at is not None:
+                break
+    for horizon in (*horizons, config.k_max):
+        states.setdefault(horizon, (sq, int(np.sum(~active.astype(bool))), settled_at))
+    return states
+
+
+def _assert_state(result, state):
+    """``result`` ends in the reference loop's ``state``, bit for bit."""
+    sq, diverged, settled_at = state
+    assert np.array_equal(result.per_replication, sq)
+    assert result.diverged_count == diverged
+    assert result.settled_step == settled_at
 
 
 def gaussian_law(cov):
@@ -226,9 +244,10 @@ LONG_RUN = 4103
 class TestBatchedKernel:
     # Each batch mixes gains that stay bounded, gains whose replications
     # freeze at different steps, and a gain that freezes within a few steps;
-    # the checkpoints fall before and after those freezes, on the first and
-    # last chunk boundaries and one step after each.  R = 1 and R = 2 cover
-    # the one- and two-row regressor products, which BLAS treats apart.
+    # it runs to horizons before and after those freezes, to the first two
+    # chunk boundaries (one in each draw slot) and one step after each.
+    # R = 1 and R = 2 cover the one- and two-row regressor products, which
+    # BLAS treats apart.
     @pytest.mark.parametrize("model, theta_star, init, gains, reps", [
         (presets.benchmark_model("1B"), np.array([1.0, 1.0]), "standard_normal",
          [0.05, 0.16, 0.3, 0.45, 0.9], 12),
@@ -253,8 +272,8 @@ class TestBatchedKernel:
         (ENSEMBLE_MODEL, np.array([0.3, -1.2, 0.8]), "standard_normal", [0.1296], 100),
         # As the report runs 1B: its five working gains on the shared start
         # at 1000 replications (the BLAS path of the full protocol).  0.4999
-        # and 0.3999 freeze their first replications between checkpoints 5
-        # and 60 and settle between 257 and 3000; the other three stay live.
+        # and 0.3999 freeze their first replications between horizons 5 and
+        # 60 and settle on steps 369 and 1506; the other three stay live.
         (presets.benchmark_model("1B"), np.array([1.0, 1.0]),
          presets.protocol_init(7, 2), [0.1609, 0.1537, 0.4999, 0.3999, 0.1249],
          1000),
@@ -265,30 +284,27 @@ class TestBatchedKernel:
     def test_each_gain_matches_reference_loop(self, model, theta_star, init,
                                               gains, reps):
         chunk = simulate._CHUNK_STEPS
-        last_boundary = LONG_RUN // chunk * chunk
-        checkpoints = (1, 5, 60, chunk, chunk + 1, 3000, last_boundary,
-                       last_boundary + 1, LONG_RUN)
+        horizons = (1, 5, 60, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, LONG_RUN)
         base = dict(model=model, theta_star=theta_star, sigma_eps=0.1,
-                    k_max=LONG_RUN, replications=reps, master_seed=7, init=init,
-                    checkpoints=checkpoints)
-        batch = run_lms(SimConfig(gain=gains[0], **base), gains=gains)
-        assert isinstance(batch, SimBatch) and len(batch) == len(gains)
-        settled = []
-        for gain, result in zip(gains, batch):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sq, diverged, checkpoint_mse, settled_at = reference_run_lms(
-                    SimConfig(gain=gain, **base))
-            assert result.gain == gain
-            assert np.array_equal(result.per_replication, sq)
-            assert result.diverged_count == diverged
-            assert result.checkpoint_mse == checkpoint_mse
-            assert result.settled_step == settled_at
-            settled.append(settled_at)
-        assert batch.diverged_count == sum(r.diverged_count for r in batch)
+                    replications=reps, master_seed=7, init=init)
+        # One reference loop per gain, read at every horizon.
+        with np.errstate(over="ignore", invalid="ignore"):
+            references = [reference_run_lms(
+                SimConfig(gain=gain, k_max=LONG_RUN, **base), horizons)
+                for gain in gains]
+        for k_max in horizons:
+            batch = run_lms(SimConfig(gain=gains[0], k_max=k_max, **base),
+                            gains=gains)
+            assert isinstance(batch, SimBatch) and len(batch) == len(gains)
+            assert batch.diverged_count == sum(r.diverged_count for r in batch)
+            for gain, result, states in zip(gains, batch, references):
+                assert result.gain == gain and result.k_max == k_max
+                _assert_state(result, states[k_max])
+        settled = [states[LONG_RUN][2] for states in references]
         if len(gains) > 1:
-            # The batch covers a gain that settles between two checkpoints
-            # and a gain that never settles.
-            assert any(s is not None and checkpoints[0] < s < checkpoints[-1]
+            # The batch covers a gain that settles between two horizons and
+            # a gain that never settles.
+            assert any(s is not None and horizons[0] < s < horizons[-1]
                        for s in settled)
         assert None in settled
 
@@ -296,8 +312,7 @@ class TestBatchedKernel:
         cfg = config(k_max=300)
         alone = run_lms(cfg)
         (batched,) = run_lms(cfg, gains=[cfg.gain])
-        assert np.array_equal(alone.per_replication, batched.per_replication)
-        assert alone.checkpoint_mse == batched.checkpoint_mse
+        _assert_same(alone, batched)
 
     def test_drawing_stops_once_every_gain_settles(self, monkeypatch):
         calls = []
@@ -308,11 +323,13 @@ class TestBatchedKernel:
             return draw(*args)
         monkeypatch.setattr(simulate, "_draw_chunk", counting)
         k_max = 3 * simulate._CHUNK_STEPS
-        batch = run_lms(config(k_max=k_max, checkpoints=(k_max,)), gains=[2.0, 5.0])
+        batch = run_lms(config(k_max=k_max), gains=[2.0, 5.0])
         assert batch.diverged_count == 2 * 8
         assert len(calls) < math.ceil(k_max / simulate._CHUNK_STEPS)
+        # A settled gain ends as a run that stops on the step it settled on.
         for result in batch:
-            assert result.checkpoint_mse[k_max] == result.terminal_mse
+            (early,) = run_lms(config(k_max=result.settled_step), gains=[result.gain])
+            _assert_same(result, early)
 
     def test_error_recursion_batch_matches_lms_at_zero_parameter(self):
         # 1C's correlated factor makes h inexact; R = 1 is the one-row product.
@@ -328,37 +345,34 @@ class TestBatchedKernel:
                 assert a.settled_step == b.settled_step
 
     def test_start_beyond_guard_settles_on_step_one(self):
-        cfg = config(init=np.array([1e7, 0.0]), k_max=300, checkpoints=(1, 300))
-        batch = run_lms(cfg, gains=[0.1, 5.0])
-        for gain, result in zip([0.1, 5.0], batch):
-            sq, diverged, checkpoint_mse, settled_at = reference_run_lms(
-                replace(cfg, gain=gain))
-            assert np.array_equal(result.per_replication, sq)
-            assert result.checkpoint_mse == checkpoint_mse
-            assert result.diverged_count == diverged == 8
-            assert result.settled_step == settled_at == 1
+        cfg = config(init=np.array([1e7, 0.0]), k_max=300)
+        references = [reference_run_lms(replace(cfg, gain=gain), horizons=(1,))
+                      for gain in [0.1, 5.0]]
+        for k_max in (1, 300):
+            batch = run_lms(replace(cfg, k_max=k_max), gains=[0.1, 5.0])
+            for result, states in zip(batch, references):
+                _assert_state(result, states[k_max])
+                assert result.diverged_count == 8
+                assert result.settled_step == 1
         # A start whose squared norm overflows keeps the overflow value.
         (result,) = run_lms(replace(cfg, init=np.array([1e160, 0.0])), gains=[0.1])
         assert np.all(result.per_replication == 1e18)
         assert result.settled_step == 1
 
     def test_error_recursion_matches_lms_with_frozen_rows(self):
-        # 1B at 1000 replications: 0.4999 and 0.3999 freeze row by row
-        # (parked rows, checkpoints around the freezes); 0.1537 stays live.
-        chunk = simulate._CHUNK_STEPS
-        cfg = config("1B", theta_star=np.zeros(2), k_max=521,
-                     replications=1000, init=np.array([0.4, -1.1]),
-                     checkpoints=(1, 10, 40, chunk, chunk + 1, 2 * chunk, 300, 400,
-                                  521))
+        # 1B at 1000 replications: 0.4999 and 0.3999 freeze row by row from
+        # steps 13 and 14 on, and 0.4999 settles on step 385 (parked rows,
+        # horizons around the freezes); 0.1537 stays live.
+        cfg = config("1B", theta_star=np.zeros(2), replications=1000,
+                     init=np.array([0.4, -1.1]))
         gains = [0.1537, 0.4999, 0.3999]
-        direct = run_lms(cfg, gains=gains)
-        errors = run_error_recursion(cfg, gains=gains)
+        chunk = simulate._CHUNK_STEPS
+        for k_max in (1, 10, 40, chunk, chunk + 1, 2 * chunk, 300, 400, 521):
+            direct = run_lms(replace(cfg, k_max=k_max), gains=gains)
+            errors = run_error_recursion(replace(cfg, k_max=k_max), gains=gains)
+            for a, b in zip(direct, errors):
+                _assert_same(a, b)
         assert 0 < direct[1].diverged_count and 0 < direct[2].diverged_count
-        for a, b in zip(direct, errors):
-            assert np.array_equal(a.per_replication, b.per_replication)
-            assert a.checkpoint_mse == b.checkpoint_mse
-            assert a.diverged_count == b.diverged_count
-            assert a.settled_step == b.settled_step
 
     def test_gains_are_validated(self):
         with pytest.raises(ValueError, match="gain"):
@@ -394,7 +408,6 @@ def _source_env(base=None):
 
 def _assert_same(a, b):
     assert np.array_equal(a.per_replication, b.per_replication)
-    assert a.checkpoint_mse == b.checkpoint_mse
     assert a.settled_step == b.settled_step
     assert a.diverged_count == b.diverged_count
     assert a.terminal_mse == b.terminal_mse
@@ -462,18 +475,16 @@ class TestDrawHelper:
         _no_child_left()
 
     def test_inline_draws_without_fork_are_identical(self, monkeypatch):
-        cfg = config("1B", k_max=3 * simulate._CHUNK_STEPS + 7,
-                     checkpoints=(1, simulate._CHUNK_STEPS, 300))
+        cfg = config("1B")
         gains = [0.1, 0.45, 0.9]
-        forked = run_lms(cfg, gains=gains)
+        horizons = (1, simulate._CHUNK_STEPS, 300, 3 * simulate._CHUNK_STEPS + 7)
+        forked = [run_lms(replace(cfg, k_max=k), gains=gains) for k in horizons]
         monkeypatch.delattr(os, "fork")
         with simulate._Streams(simulate._make_generators(0, 1), 5, 5, 1) as streams:
             assert streams.pid is None
-        inline = run_lms(cfg, gains=gains)
-        for a, b in zip(forked, inline):
-            assert np.array_equal(a.per_replication, b.per_replication)
-            assert a.checkpoint_mse == b.checkpoint_mse
-            assert a.settled_step == b.settled_step
+        for k, batch in zip(horizons, forked):
+            for a, b in zip(batch, run_lms(replace(cfg, k_max=k), gains=gains)):
+                _assert_same(a, b)
 
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -655,30 +666,30 @@ class TestBlockGuard:
     # crosses the guard and falls back below it within one block must still
     # freeze at the value and step of its first crossing.  The start sits just
     # below the guard, so at these gains many replications cross and fall
-    # back; G * R gives the shortest block, and the checkpoints cut blocks
-    # in their middle.
+    # back; G * R gives the shortest block, and the shorter horizons end
+    # blocks of the full run in their middle.
     def test_first_crossing_within_a_block_freezes(self):
         gains = [0.3, 0.5, 0.7, 5.0]
         reps, k_max = 2048, 300
         chunk = simulate._CHUNK_STEPS
-        checkpoints = (3, 13, 100, chunk + 5, 299)
+        horizons = (3, 13, 100, chunk + 5, 299, k_max)
         block = simulate._block_steps(1, len(gains), reps)
         assert block == 8
         base = dict(model=M1_MODEL, theta_star=np.array([0.5]), sigma_eps=0.1,
-                    k_max=k_max, replications=reps, master_seed=3,
-                    init=np.array([9.9e5]), checkpoints=checkpoints)
-        # The block ends: each block is at most `block` steps and ends at
-        # every checkpoint, chunk end and k_max.
-        stops = sorted(set(checkpoints) | {chunk, 2 * chunk, k_max})
+                    replications=reps, master_seed=3, init=np.array([9.9e5]))
+        # The block ends of the full run: each block is at most `block` steps
+        # and ends at every chunk end and at k_max.
+        stops = [chunk, 2 * chunk, k_max]
         ends, step = set(), 0
         while step < k_max:
             step = min(step + block, next(s for s in stops if s > step))
             ends.add(step)
-        batch = run_lms(SimConfig(gain=gains[0], **base), gains=gains)
+        batches = [run_lms(SimConfig(gain=gains[0], k_max=k, **base), gains=gains)
+                   for k in horizons]
         settled = []
-        for gain, result in zip(gains, batch):
-            cfg = SimConfig(gain=gain, **base)
-            sq, diverged, checkpoint_mse, settled_at = reference_run_lms(cfg)
+        for j, gain in enumerate(gains):
+            cfg = SimConfig(gain=gain, k_max=k_max, **base)
+            states = reference_run_lms(cfg, horizons)
             norms = _unfrozen_norms(cfg)
             crossing = ~(norms <= DIVERGENCE_GUARD)
             first = np.argmax(crossing, axis=0)   # index of the first crossing
@@ -687,11 +698,9 @@ class TestBlockGuard:
                           and norms[first[r] + 1, r] <= DIVERGENCE_GUARD]
             if gain < 1:
                 assert len(falls_back) > 10
-            assert np.array_equal(result.per_replication, sq)
-            assert result.checkpoint_mse == checkpoint_mse
-            assert result.diverged_count == diverged
-            assert result.settled_step == settled_at
-            settled.append(settled_at)
+            for k, batch in zip(horizons, batches):
+                _assert_state(batch[j], states[k])
+            settled.append(states[k_max][2])
         # The largest gain settles within a block, off its end.
         assert settled[-1] is not None and settled[-1] not in ends
         assert settled[0] is None
@@ -712,15 +721,10 @@ class TestDivergenceGuard:
 
 
 class TestCheckpoints:
-    def test_checkpoint_steps_recorded(self):
-        res = run_lms(config(checkpoints=(1, 100, 200)))
-        assert sorted(res.checkpoint_mse) == [1, 100, 200]
-        assert res.checkpoint_mse[200] == pytest.approx(res.terminal_mse)
-
     def test_checkpoints_decay_toward_floor(self):
-        res = run_lms(config(gain=0.1, k_max=2000, replications=64,
-                             checkpoints=(1, 2000)))
-        assert res.checkpoint_mse[2000] < res.checkpoint_mse[1]
+        first = run_lms(config(gain=0.1, k_max=1, replications=64))
+        last = run_lms(config(gain=0.1, k_max=2000, replications=64))
+        assert last.terminal_mse < first.terminal_mse
 
 
 class TestFrozenComponent:
