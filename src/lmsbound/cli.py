@@ -17,8 +17,8 @@ Gaussian law (--sigma1/--sigma2/--rho), printed moment matrices
 moment), or a data table with a recipe (--data/--recipe).
 
 Exit codes: 0 success, 2 configuration/input error, 3 numerical failure
-(Jacobi non-convergence, or a certificate that failed its independent
-re-check).  Output formats:
+(the LAPACK eigensolver did not converge, or a certificate failed its
+independent re-check by a shifted Cholesky).  Output formats:
 table (4 decimals), csv (full precision), jsonl (infinities as null with an
 "infinite" flag).
 """

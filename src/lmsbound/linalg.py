@@ -1,26 +1,17 @@
-"""Dense symmetric-matrix primitives: Jacobi eigendecomposition, Cholesky, PSD tests.
+"""Dense symmetric-matrix primitives: eigendecomposition, Cholesky, proof of definiteness.
 
-Everything here is self-contained (no LAPACK calls).  The certificate
-searches in ``lmi`` and ``bounds`` use LAPACK through ``numpy.linalg``,
-while ``lmi.check_certificate`` uses only this module, so the re-check of a
-certificate shares no eigensolver with the search that produced it.
-Matrices are plain float64 numpy arrays; symmetric inputs are re-symmetrized
-at the boundary and validated for finiteness.
-
-``eigh`` rotates Python lists of floats, not numpy rows: its matrices are
-m x m (S, M4, P, Q(P), covariances, Gram matrices), where one numpy call on
-a length-m row costs more than the m products it forms.  Each rotation does
-the element operations of the numpy row-and-column formulation in the same
-order (rows, then columns, then the zeroed pair, then the eigenvectors), so
-the results are the same to the bit, with one code path for every n.  Both
-hypot values come from ``np.hypot``, because ``math.hypot`` rounds
-hypot(1, x) differently on about one argument in a thousand, and each sweep
-stops on numpy's Frobenius norm of the off-diagonal part, so every stop
-decision is numpy's.
+``eigh`` is one LAPACK call with a sign rule, so its vectors do not depend on
+the sign LAPACK returns.  ``cholesky`` is an in-house column loop whose bits
+Gaussian sampling reads; ``proves_positive_definite`` runs it on a matrix
+shifted down by a bound on its rounding error (Rump, BIT 46, 2006), so that
+``lmi.check_certificate`` decides with no call into ``numpy.linalg`` and
+shares nothing with the LAPACK searches.  Matrices are float64 numpy arrays;
+symmetric inputs are re-symmetrized and validated for finiteness.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +31,7 @@ class NotPositiveDefinite(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """The solver exhausted its iteration budget without a decision."""
+    """An eigensolve did not converge, or a certificate failed its re-check."""
 
 
 class EigenDecomp(NamedTuple):
@@ -58,79 +49,24 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-# Off-diagonal mass below this fraction of ||A||_F counts as diagonal.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 64
-
-
 def eigh(a) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Ascending eigenvalues and orthonormal eigenvector columns, by LAPACK.
 
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvector columns.  Sweeps run until the off-diagonal Frobenius mass
-    drops below 1e-12 * ||A||_F, so a matrix whose sum of squares overflows
-    float64 raises ``InvalidMatrix``.  Deterministic: identical input bytes
-    give identical output bytes.
+    Each vector's largest-magnitude component (the first, on ties) is
+    positive.  A matrix whose sum of squares overflows float64 raises
+    ``InvalidMatrix``; a LAPACK failure raises ``NonConvergence``.
     """
-    A = symmetrize(a).copy()
-    n = A.shape[0]
-    if n == 1:
-        return EigenDecomp(A[0, :1].copy(), np.eye(1))
-
-    with np.errstate(over="ignore"):
-        norm_a = float(np.linalg.norm(A))
-    if not np.isfinite(norm_a):
+    A = symmetrize(a)
+    # Summed in Python floats, which overflow to inf without a numpy warning.
+    if sum(x * x for x in A.ravel().tolist()) == math.inf:
         raise InvalidMatrix("the sum of squares overflows float64; rescale the input")
-    tol = _JACOBI_TOL * max(norm_a, np.finfo(float).tiny)
-    skip = tol / (n * n)
-    rows = A.tolist()
-    vt = np.eye(n).tolist()   # vt[j] is eigenvector column j
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if np.linalg.norm(A - np.diag(np.diag(A))) <= tol:
-            break
-        for p in range(n - 1):
-            row_p = rows[p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                if abs(apq) <= skip:
-                    continue
-                row_q = rows[q]
-                theta = (row_q[q] - row_p[p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    sign = 1.0 if theta > 0.0 else -1.0
-                    t = sign / (abs(theta) + float(np.hypot(1.0, theta)))
-                c = 1.0 / float(np.hypot(1.0, t))
-                s = t * c
-                for j in range(n):
-                    x, y = row_p[j], row_q[j]
-                    row_p[j] = c * x - s * y
-                    row_q[j] = s * x + c * y
-                for row in rows:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p[q] = row_q[p] = 0.0
-                v_p, v_q = vt[p], vt[q]
-                for j in range(n):
-                    x, y = v_p[j], v_q[j]
-                    v_p[j] = c * x - s * y
-                    v_q[j] = s * x + c * y
-        A = np.array(rows)
-    else:
-        raise NonConvergence("Jacobi sweeps did not converge")
-
-    # Stable ascending order; each eigenvector's largest-magnitude component
-    # (the first, on ties) is made positive.
-    order = sorted(range(n), key=lambda j: rows[j][j])
-    vectors = []
-    for j in order:
-        v = vt[j]
-        k = max(range(n), key=lambda i: abs(v[i]))
-        vectors.append(v if v[k] >= 0.0 else [-x for x in v])
-    return EigenDecomp(np.array([rows[j][j] for j in order]), np.array(vectors).T)
+    try:
+        values, vectors = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"the eigensolver did not converge ({exc})") from exc
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(len(A))]
+    np.negative(vectors, out=vectors, where=lead < 0.0)
+    return EigenDecomp(values, vectors)
 
 
 def cholesky(a) -> np.ndarray:
@@ -152,13 +88,26 @@ def cholesky(a) -> np.ndarray:
     return L
 
 
-def is_psd(a, tol: float) -> tuple[bool, float]:
-    """Whether the symmetric part of ``a`` is PSD within ``tol``.
+def proves_positive_definite(a) -> tuple[bool, float]:
+    """(proved, shift): whether ``cholesky`` of fl(A - shift I) succeeds.
 
-    Returns (flag, margin) where margin is the smallest eigenvalue; the flag
-    is True when margin >= -tol.  The tolerance is caller-supplied on purpose:
-    covariance validation and LMI slack checks need different strictness.
+    A float Cholesky of an n x n matrix B that completes factors B + E with
+    ||E||_2 <= (n + 1) u tr(B) / (1 - 2(n + 1) u), u = 2^-53 (Rump, BIT 46,
+    2006).  shift = 2(n + 2) u tr(A) + n 2^-1022 also covers the rounding of
+    the shifted diagonal, of a diagonal formed as a difference, of the trace
+    and the shift, and underflow, so a success proves A positive definite.
+    An overflowing pivot fails; a trace not positive and finite gives (False, inf).
     """
-    values, _ = eigh(a)
-    margin = float(values[0])
-    return margin >= -tol, margin
+    A = symmetrize(a)
+    n = len(A)
+    trace = math.fsum(A.diagonal().tolist())
+    if not 0.0 < trace < math.inf:
+        return False, math.inf
+    shift = 2.0 * (n + 2) * 2.0 ** -53 * trace + n * 2.0 ** -1022
+    A.flat[::n + 1] -= shift
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cholesky(A)
+    except NotPositiveDefinite:
+        return False, shift
+    return True, shift

@@ -67,9 +67,7 @@ class GaussianSpec:
             norm = float(np.linalg.norm(cov))
         # tr(M4) = 2 ||S||_F^2 + tr(S)^2, so M4 overflows when the norm does.
         _require_finite({"M4": norm})
-        ok, margin = linalg.is_psd(cov, _PSD_TOL * max(1.0, norm))
-        if not ok:
-            raise InvalidCovariance(f"covariance is not PSD (min eigenvalue {margin:.3g})")
+        _psd_spectrum(cov, "covariance")
         object.__setattr__(self, "covariance", cov)
 
     @property
@@ -144,11 +142,8 @@ class MomentModel:
         if s.shape != m4.shape:
             raise DimMismatch(
                 f"second moment {s.shape} and fourth moment {m4.shape} disagree")
-        values = linalg.eigh(s).values
-        if values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(s))):
-            raise InvalidCovariance(f"second moment is not PSD (margin {values[0]:.3g})")
         self.second_moment = s
-        self.second_moment_eigenvalues = values
+        self.second_moment_eigenvalues = _psd_spectrum(s, "second moment")
         self.m4 = m4
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)
@@ -195,6 +190,15 @@ def sym_basis(m: int) -> np.ndarray:
     return basis
 
 
+def _psd_spectrum(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Ascending eigenvalues of a matrix that must be PSD to within _PSD_TOL
+    max(1, ||matrix||_F); ``linalg.eigh`` rejects an overflowing norm first."""
+    values = linalg.eigh(matrix).values
+    if values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(matrix))):
+        raise InvalidCovariance(f"{what} is not PSD (min eigenvalue {values[0]:.3g})")
+    return values
+
+
 def _require_finite(fourth_moments: dict) -> None:
     """Raise InvalidCovariance naming the first fourth moment that overflowed."""
     for name, value in fourth_moments.items():
@@ -231,10 +235,7 @@ def explicit_moment_model(second_moment, m4) -> MomentModel:
         second_moment=np.asarray(second_moment, dtype=float),
         m4=np.asarray(m4, dtype=float),
     )
-    scale = max(1.0, float(np.linalg.norm(model.m4)))
-    ok, margin = linalg.is_psd(model.m4, _PSD_TOL * scale)
-    if not ok:
-        raise InvalidCovariance(f"fourth moment matrix is not PSD (margin {margin:.3g})")
+    _psd_spectrum(model.m4, "fourth moment matrix")
     return model
 
 

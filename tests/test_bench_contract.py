@@ -73,3 +73,48 @@ def test_workload_calls_bind():
         except TypeError as exc:
             unbound.append(f"{module}.{name}: {exc}")
     assert not unbound
+
+
+class _WallClock:
+    """``SpeedProbe``'s interface without its calibration: plain seconds."""
+
+    @staticmethod
+    def seconds(start: float, end: float) -> float:
+        return end - start
+
+
+def test_traced_layers_do_work(monkeypatch, tmp_path):
+    """One traced pass of each certify workload reads every layer metric that
+    ``LAYERS`` marks as working there above 0, as ``--trace 1`` requires.
+
+    The Monte Carlo workloads are left out: one pass of each takes seconds.
+    """
+    runner = load_bench_runner(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    ref = runner._load_reference()
+    for name in runner.CERTIFY:
+        wl = workloads.WORKLOADS[name]
+        inputs = wl.build(0)
+        state = wl.prepare(inputs, 0)
+        tracer = importlib.import_module("spans").Tracer()
+        counters = Counter()
+        runner.install_tracer(tracer, counters)
+        tracer.active = True
+        try:
+            wl.build(0)
+            build_spans = len(tracer.spans)
+            walls, _, checks = runner.run_passes(wl, inputs, state, 0.0, ref,
+                                                 workloads.Checks, _WallClock, tracer)
+        finally:
+            tracer.active = False
+            tracer.restore()
+        assert len(walls) == 1
+        assert not checks.failures, (name, checks.failures)
+        metrics = runner.layer_metrics(
+            tracer.totals(_WallClock.seconds, build_spans),
+            tracer.totals(_WallClock.seconds, 0, build_spans), counters, 1, 0.0,
+            len(tracer.spans) - build_spans)
+        idle = [metric for metric, (_, _, _, working) in runner.LAYERS.items()
+                if name in working and not metrics[metric] > 0]
+        assert not idle, (name, idle)

@@ -419,6 +419,8 @@ class TestTableContract:
 class TestNonConvergence:
     """Eigensolver non-convergence ends in exit code 3, not a traceback."""
 
+    # Each command builds its model through linalg.eigh before anything else
+    # solves, so a failing LAPACK eigensolver is met first there.
     @pytest.mark.parametrize("args", [
         ("supgain", "--model", "1A"),
         ("errorbound", "--model", "1C"),
@@ -426,7 +428,9 @@ class TestNonConvergence:
          "--reps", "2"),
     ])
     def test_exit_code_3(self, runner, monkeypatch, args):
-        monkeypatch.setattr("lmsbound.linalg._JACOBI_MAX_SWEEPS", 0)
+        def fail(a):
+            raise np.linalg.LinAlgError("injected LAPACK failure")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         res = run(runner, *args)
         assert res.exit_code == 3
         assert "did not converge" in res.output
@@ -525,6 +529,16 @@ class TestErrorContract:
     def test_overflowing_second_moment_prints_one_line(self, runner, tmp_path):
         moments = tmp_path / "moments.prn"
         moments.write_text("1e200 5e199\n5e199 1e200\n1 0\n0 1\n")
+        res = run(runner, "supgain", "--moments-file", str(moments))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: the sum of squares overflows float64; rescale the input"]
+
+    # So is a printed fourth moment whose sum of squares overflows.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_printed_fourth_moment_prints_one_line(self, runner, tmp_path):
+        moments = tmp_path / "moments.prn"
+        moments.write_text("1e150 0\n0 1e150\n1e300 0\n0 1e300\n")
         res = run(runner, "supgain", "--moments-file", str(moments))
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmsbound import linalg
+from lmsbound import linalg, moments
+from lmsbound.moments import InvalidCovariance
 
 
 def random_symmetric(m, seed):
@@ -14,6 +19,33 @@ def random_spd(m, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m))
     return a @ a.T + m * np.eye(m)
+
+
+def matrix_kinds(n, seed):
+    """Named test matrices of size n: every kind the eigensolver must handle."""
+    rng = np.random.default_rng([n, seed])
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    psd = b @ b.T
+    u = rng.standard_normal(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signed_zeros = (a + a.T) / 2.0
+    signed_zeros[rng.random((n, n)) < 0.3] = -0.0
+    signed_zeros[rng.random((n, n)) < 0.2] = 0.0
+    return {
+        "symmetric": (a + a.T) / 2.0,
+        "non_symmetric": a,
+        "psd": psd,
+        "psd_1e-12": psd * 1e-12,
+        "psd_1e12": psd * 1e12,
+        "diagonal": np.diag(rng.standard_normal(n)),
+        "repeated": q @ np.diag(rng.integers(0, 3, n).astype(float)) @ q.T,
+        "zero": np.zeros((n, n)),
+        "negative_definite": -psd - np.eye(n),
+        "rank_one": np.outer(u, u),
+        "signed_zeros": signed_zeros,
+        "ones_plus_identity": np.ones((n, n)) + np.eye(n),
+    }
 
 
 class TestSymmetrize:
@@ -70,107 +102,58 @@ class TestEigh:
         np.testing.assert_allclose(values, [0.0, 2.0], atol=1e-14)
 
     def test_overflowing_norm_raises(self):
-        # ||A||_F overflows float64 although every entry is finite; the
-        # sweeps' stop test would pass before any rotation.
+        # ||A||_F overflows float64 although every entry is finite.
         with pytest.raises(linalg.InvalidMatrix, match="sum of squares overflows"):
             linalg.eigh([[1e200, 5e199], [5e199, 1e200]])
         values, _ = linalg.eigh([[1e150, 5e149], [5e149, 1e150]])
         np.testing.assert_allclose(values, [5e149, 1.5e150], rtol=1e-12)
 
-
-def reference_eigh(a):
-    """``linalg.eigh`` as it stood with numpy row and column rotations.
-
-    Kept verbatim as the reference the float rotations must match bit for bit.
-    """
-    A = linalg.symmetrize(a).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return linalg.EigenDecomp(A[0, :1].copy(), V)
-
-    norm_a = float(np.linalg.norm(A))
-    tol = linalg._JACOBI_TOL * max(norm_a, np.finfo(float).tiny)
-
-    for _ in range(linalg._JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise linalg.NonConvergence("Jacobi sweeps did not converge")
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = V[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return linalg.EigenDecomp(values, vectors)
-
-
-def matrix_kinds(n, seed):
-    """Named test matrices of size n: every kind the solver must agree on."""
-    rng = np.random.default_rng([n, seed])
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    psd = b @ b.T
-    u = rng.standard_normal(n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    signed_zeros = (a + a.T) / 2.0
-    signed_zeros[rng.random((n, n)) < 0.3] = -0.0
-    signed_zeros[rng.random((n, n)) < 0.2] = 0.0
-    return {
-        "symmetric": (a + a.T) / 2.0,
-        "non_symmetric": a,
-        "psd": psd,
-        "psd_1e-12": psd * 1e-12,
-        "psd_1e12": psd * 1e12,
-        "diagonal": np.diag(rng.standard_normal(n)),
-        "repeated": q @ np.diag(rng.integers(0, 3, n).astype(float)) @ q.T,
-        "zero": np.zeros((n, n)),
-        "negative_definite": -psd - np.eye(n),
-        "rank_one": np.outer(u, u),
-        "signed_zeros": signed_zeros,
-        "ones_plus_identity": np.ones((n, n)) + np.eye(n),
-    }
-
-
-class TestEighBits:
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_matches_numpy_rotations_bit_for_bit(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    def test_lapack_result_with_sign_rule(self, n):
+        # LAPACK's values bit for bit, LAPACK's vectors up to sign, and each
+        # vector's largest-magnitude component positive.
         for seed in range(3):
             for kind, a in matrix_kinds(n, seed).items():
-                for got, want in zip(linalg.eigh(a), reference_eigh(a)):
-                    assert np.array_equal(got, want), (kind, seed)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                values, vectors = linalg.eigh(a)
+                want_values, want_vectors = np.linalg.eigh(linalg.symmetrize(a))
+                assert np.array_equal(values, want_values), (kind, seed)
+                assert np.array_equal(np.abs(vectors), np.abs(want_vectors)), (kind, seed)
+                lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+                assert np.all(lead > 0), (kind, seed)
 
-    def test_zero_sweeps_raise(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(linalg.NonConvergence):
-            linalg.eigh(random_symmetric(3, seed=0))
+    @pytest.mark.parametrize("a", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                                   [[2.0, -1.0], [-1.0, 2.0]]])
+    def test_sign_rule_takes_the_first_on_ties(self, a):
+        # Every eigenvector is (1, 1)/sqrt(2) or (1, -1)/sqrt(2), whose two
+        # components tie in magnitude: the first is made positive.
+        _, vectors = linalg.eigh(a)
+        assert np.array_equal(np.abs(vectors[0]), np.abs(vectors[1]))
+        assert np.all(vectors[0] > 0)
+        np.testing.assert_allclose(np.abs(vectors), np.sqrt(0.5), rtol=1e-15)
+
+    def test_lapack_failure_is_non_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("injected LAPACK failure")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(linalg.NonConvergence, match="did not converge"):
+            linalg.eigh(np.eye(2))
+
+
+class TestIsPsd:
+    """The PSD-within-tolerance decision that moments makes on the ascending
+    spectrum from linalg.eigh, for covariances, S and a printed M4."""
+
+    def test_positive(self):
+        values = moments._psd_spectrum(np.eye(3), "covariance")
+        assert values[0] == pytest.approx(1.0)
+
+    def test_negative(self):
+        with pytest.raises(InvalidCovariance, match=r"covariance is not PSD .*-0\.5"):
+            moments._psd_spectrum(np.diag([1.0, -0.5]), "covariance")
+
+    def test_tolerance_admits_noise(self):
+        values = moments._psd_spectrum(np.diag([1.0, -1e-14]), "covariance")
+        assert values[0] == -1e-14
 
 
 class TestCholesky:
@@ -189,15 +172,67 @@ class TestCholesky:
         assert info.value.value < 0
 
 
-class TestIsPsd:
-    def test_positive(self):
-        ok, margin = linalg.is_psd(np.eye(3), tol=0.0)
-        assert ok and margin == pytest.approx(1.0)
+def exactly_positive_definite(a, shift=Fraction(0)) -> bool:
+    """Whether the float matrix a - shift I is positive definite, decided by
+    an LDL^T elimination in exact rational arithmetic."""
+    n = len(a)
+    rows = [[Fraction(float(a[i][j])) - (shift if i == j else 0) for j in range(n)]
+            for i in range(n)]
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = rows[i][k] / pivot
+            for j in range(k + 1, n):
+                rows[i][j] -= factor * rows[k][j]
+    return True
 
-    def test_negative(self):
-        ok, margin = linalg.is_psd(np.diag([1.0, -0.5]), tol=1e-9)
-        assert not ok and margin == pytest.approx(-0.5)
 
-    def test_tolerance_admits_noise(self):
-        ok, _ = linalg.is_psd(np.diag([1.0, -1e-14]), tol=1e-12)
-        assert ok
+# lambda_min / lambda_max of a drawn spectrum: negative (indefinite), zero,
+# or positive from far below rounding up to 1e-6.
+RATIOS = st.one_of(st.floats(-18, -6).map(lambda e: 10.0 ** e),
+                   st.floats(-18, -12).map(lambda e: -(10.0 ** e)),
+                   st.just(0.0))
+
+
+class TestProvesPositiveDefinite:
+    """The shifted Cholesky never proves a matrix that is not positive
+    definite, and proves every one whose lambda_min exceeds 1e-8 tr."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), ratio=RATIOS,
+           scale=st.integers(-6, 6))
+    def test_spectra_at_the_edge(self, n, seed, ratio, scale):
+        rng = np.random.default_rng(seed)
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = 10.0 ** scale * np.concatenate(
+            [[ratio], 10.0 ** rng.uniform(-3.0, 0.0, n - 2), [1.0]])
+        a = (v * spectrum) @ v.T
+        a = (a + a.T) / 2.0
+        proved, shift = linalg.proves_positive_definite(a)
+        assert 0 < shift < np.inf
+        if proved:
+            assert exactly_positive_definite(a)
+        trace = sum(Fraction(float(x)) for x in np.diag(a))
+        if exactly_positive_definite(a, Fraction(1, 10**8) * trace):
+            assert proved
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_exactly_singular_is_refused(self, n, data):
+        rank = data.draw(st.integers(1, n - 1))
+        factor = np.array(data.draw(st.lists(
+            st.integers(-5, 5), min_size=n * rank, max_size=n * rank)), dtype=float)
+        scale = 2.0 ** data.draw(st.integers(-60, 60))
+        a = scale * (factor.reshape(n, rank) @ factor.reshape(n, rank).T)
+        assert not exactly_positive_definite(a)
+        assert not linalg.proves_positive_definite(a)[0]
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), -np.eye(2), np.diag([1.0, -1.0])])
+    def test_nonpositive_trace_is_refused(self, a):
+        assert linalg.proves_positive_definite(a) == (False, np.inf)
+
+    def test_identity_is_proved(self):
+        assert linalg.proves_positive_definite(np.eye(4)) == (
+            True, 12 * 2.0 ** -53 * 4 + 4 * 2.0 ** -1022)

@@ -280,3 +280,24 @@ class TestCheckCertificate:
         ok, diag = lmi.check_certificate(model, cert)
         assert ok
         assert diag["slack"] <= lmi.EPS_FEAS_DEFAULT
+
+
+def test_check_decides_without_numpy_linalg(monkeypatch):
+    # ok comes from the shifted Cholesky alone: with every numpy.linalg
+    # routine failing and linalg.eigh reporting a zero spectrum, the check
+    # still refuses a gain beyond the sup and accepts one below it.
+    model = presets.benchmark_model("1A")
+    refused = lmi.GainCertificate(gain=1.5, rate=0.1, p_matrix=np.eye(2),
+                                  slack=0.0, p_min_eigenvalue=1.0)
+    accepted = dataclasses.replace(refused, gain=0.1, rate=0.01)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in ("eigh", "eigvalsh", "cholesky", "norm", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    monkeypatch.setattr(linalg, "eigh", lambda a: linalg.EigenDecomp(
+        np.zeros(len(a)), np.eye(len(a))))
+    assert lmi.check_certificate(model, refused)[0] is False
+    ok, diag = lmi.check_certificate(model, accepted)
+    assert ok is True
+    assert 0 < diag["rounding"] < 1e-12
