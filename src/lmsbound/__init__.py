@@ -18,10 +18,9 @@ from .bounds import (CERTIFICATE_KINDS, ChiSearchResult, CriterionKind,
 from .ingest import (ColumnOutOfRange, ParseError, RaggedRow, RawTable,
                      RegressorRecipe, build_design, parse_table,
                      parse_table_text, write_canonical_csv)
-from .lmi import (FeasibilityOutcome, GainCertificate, LmiProblem,
-                  NonConvergence, check_certificate, drift_matrix,
-                  mean_square_map_matrix, operator_matrices,
-                  solve_feasibility, sym_basis)
+from .lmi import (GainCertificate, NonConvergence, check_certificate,
+                  drift_matrix, identity_certificate, mean_square_map_matrix,
+                  operator_matrices, solve_feasibility, sym_basis)
 from .moments import (DataMatrix, DimMismatch, EmptyData, GaussianSpec,
                       InvalidCovariance, MomentModel, UnsupportedOperator,
                       empirical_moment_model, explicit_moment_model,

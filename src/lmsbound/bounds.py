@@ -9,7 +9,9 @@ Five criteria are covered.  Two are certificate producing:
 Both sups are generalized eigenvalue problems of the mean-square operator
 (``lmi.operator_matrices``) and the theorem1 rate at a fixed gain is read
 off the spectral radius of the mean-square map, so every certificate number
-comes from one small LAPACK eigendecomposition, with no search.
+comes from one small LAPACK eigendecomposition, with no search.  The
+certificate itself comes from ``lmi.identity_certificate`` (corollary2) or
+``lmi.solve_feasibility`` (theorem1), checked before it is returned.
 
 Three are classical literature rules, read off the model's spectrum of S:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
@@ -31,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, presets
-from .lmi import (GainCertificate, LmiProblem, NonConvergence,
-                  RELAXED_TOL_DEFAULT, STRICT_MARGIN, mean_square_map_matrix,
+from .lmi import (GainCertificate, NonConvergence, RELAXED_TOL_DEFAULT,
+                  STRICT_MARGIN, identity_certificate, mean_square_map_matrix,
                   operator_matrices, solve_feasibility)
 from .moments import MomentModel
 
@@ -171,13 +173,11 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     a_cert = sup * (1.0 - TOL_A)
     if kind is CriterionKind.COROLLARY2:
         chi = max(-pencil_max_eigenvalue(model, a_cert) / 2.0, TOL_CHI)
-        problem = LmiProblem(model, a_cert, chi, mode=mode,
-                             p_restriction="identity")
+        cert = identity_certificate(model, a_cert, chi, mode)
     else:
-        problem = LmiProblem(model, a_cert, TOL_CHI, mode=mode)
-    outcome = solve_feasibility(problem)
-    return SupGainResult(kind, sup, certificate=outcome.certificate,
-                         tolerance_limited=outcome.tolerance_limited)
+        cert = solve_feasibility(model, a_cert, TOL_CHI, mode)
+    return SupGainResult(kind, sup, certificate=cert,
+                         tolerance_limited=cert is not None and cert.tolerance_limited)
 
 
 def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
@@ -230,12 +230,9 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
         raise GainTooLarge(
             f"gain {gain} is infeasible for the drift inequality even at "
             f"vanishing rate (spectral radius {rho:.6g})")
-    outcome = solve_feasibility(LmiProblem(model, gain, chi, mode=mode))
-    cert = outcome.certificate
+    cert = solve_feasibility(model, gain, chi, mode)
     if cert is None:
-        raise NonConvergence(
-            f"no certificate at gain {gain} and rate {chi:.6g} "
-            f"(slack {outcome.best_slack:.3g})")
+        raise NonConvergence(f"no certificate at gain {gain} and rate {chi:.6g}")
     return ChiSearchResult(chi, cert.p_matrix, cert,
                            tolerance_limited=cert.tolerance_limited)
 

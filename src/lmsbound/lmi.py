@@ -23,16 +23,22 @@ e the coordinates of I,
 
 which is the resolvent P = gamma (gamma - T)^{-1} I >= I when every
 eigenvalue contracts, and gives T(P) - gamma P = -gamma I on the contracting
-part and a*chi*I on the frozen directions.  The identity is tried first and
-kept when it certifies, since it gives the tighter error bound whenever it
-is admissible.  The search uses LAPACK (``numpy.linalg``) and never
-evaluates F(P): the identity slack is lambda_max(a M4 - 2 S + chi I), and
-the resolvent's drift matrix Q(P) = (T(P) - gamma P)/a is read off the same
-eigendecomposition.
+part and a*chi*I on the frozen directions.
+
+Two functions return a checked ``GainCertificate`` for (a, chi), or None:
+``identity_certificate`` fixes P = I (corollary 2), and
+``solve_feasibility`` lets P be free (theorem 1).  The latter keeps the
+identity when it certifies strictly, since it gives the tighter error
+bound, and then never forms T^; otherwise the resolvent replaces it when it
+does better.  Both use LAPACK (``numpy.linalg``) and never evaluate F(P):
+the identity slack is lambda_max(a M4 - 2 S + chi I), and the resolvent's
+drift matrix Q(P) = (T(P) - gamma P)/a is read off the eigendecomposition
+of T^.
 
 Certificates are verified from scratch: ``check_certificate`` forms Q(P)
 from the law (F(P), never F^) and proves eps I - Q(P) and P positive
-definite by a shifted Cholesky that shares no state with the search.
+definite by a shifted Cholesky that shares no state with the search.  Each
+certificate is checked at the tolerance it claims.
 
 Degenerate laws (singular S with regressors confined to a subspace) admit
 no strictly feasible point: T keeps a frozen unit eigenvalue along the
@@ -45,7 +51,7 @@ problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,29 +62,6 @@ from .moments import MomentModel, UnsupportedOperator, sym_basis
 EPS_FEAS_DEFAULT = 1e-8
 RELAXED_TOL_DEFAULT = 1e-5
 STRICT_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class LmiProblem:
-    """One feasibility probe: model, gain a > 0, rate 0 < chi < 2/a."""
-
-    model: MomentModel
-    gain: float
-    rate: float
-    mode: str = "strict"              # "strict" | "relaxed"
-    p_restriction: str = "free"       # "free" | "identity"
-
-    def __post_init__(self):
-        if not (self.gain > 0 and np.isfinite(self.gain)):
-            raise ValueError(f"gain must be positive and finite, got {self.gain}")
-        if not (0.0 < self.rate < 2.0 / self.gain):
-            raise ValueError(
-                f"rate must lie in (0, 2/gain) = (0, {2.0 / self.gain:.6g}), "
-                f"got {self.rate}")
-        if self.mode not in ("strict", "relaxed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.p_restriction not in ("free", "identity"):
-            raise ValueError(f"unknown p_restriction {self.p_restriction!r}")
 
 
 @dataclass
@@ -95,15 +78,6 @@ class GainCertificate:
     p_matrix: np.ndarray
     slack: float
     p_min_eigenvalue: float
-    tolerance_limited: bool = False
-
-
-@dataclass
-class FeasibilityOutcome:
-    feasible: bool
-    certificate: Optional[GainCertificate]
-    best_slack: float
-    spectral_margin: float   # (1 - a*chi) - rho(T); positive means feasible in theory
     tolerance_limited: bool = False
 
 
@@ -145,14 +119,16 @@ def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:
     return np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
 
 
-def _resolvent(values: np.ndarray, vectors: np.ndarray, gamma: float,
-               gain: float, m: int) -> tuple[Optional[np.ndarray], float]:
+def _resolvent(model: MomentModel, gain: float,
+               rate: float) -> tuple[Optional[np.ndarray], float]:
     """The closed-form certificate of the module docstring and its slack.
 
     P is scaled to lambda_min = 1.  (None, inf) when it is not positive
     definite, which happens only if some eigenvalue of T^ other than a
     frozen one reaches gamma.
     """
+    m, gamma = model.dim, 1.0 - gain * rate
+    values, vectors = np.linalg.eigh(mean_square_map_matrix(model, gain))
     k = sym_basis(m).reshape(-1, m * m)
     e = vectors[:m].sum(axis=0)   # the first m basis elements sum to I
     c = np.divide(gamma * e, gamma - values, out=e.copy(), where=values < gamma)
@@ -164,54 +140,64 @@ def _resolvent(values: np.ndarray, vectors: np.ndarray, gamma: float,
     return p / p_min, float(np.linalg.eigvalsh(q)[-1])
 
 
-def solve_feasibility(problem: LmiProblem) -> FeasibilityOutcome:
-    """Decide the drift inequality for (a, chi) and build a certificate.
+def _certify(model: MomentModel, gain: float, rate: float, mode: str,
+             alternative: Optional[Callable] = None) -> Optional[GainCertificate]:
+    """The checked certificate for (a, chi): P = I, or ``alternative``'s P.
 
-    The identity is kept when it certifies at the mode's slack target;
-    otherwise the resolvent certificate read off one eigendecomposition of
-    T^ replaces it if it does better (strict where the identity is only
-    tolerance-limited, feasible where the identity fails).  Every returned
-    certificate passes ``check_certificate`` at the mode's tolerance.
+    ``alternative(model, gain, rate)`` gives a (P, slack) pair and is asked
+    only when the identity does not certify strictly; its P replaces the
+    identity when it grades better (strict where the identity is only
+    tolerance-limited, feasible where the identity fails).  None when
+    neither certifies at the mode's slack target.  The certificate passes
+    ``check_certificate`` at the tolerance it claims: ``RELAXED_TOL_DEFAULT``
+    when tolerance-limited, ``EPS_FEAS_DEFAULT`` otherwise.
     """
-    model, a, chi = problem.model, problem.gain, problem.rate
-    m = model.dim
-    relaxed = problem.mode == "relaxed"
+    if not (gain > 0 and np.isfinite(gain)):
+        raise ValueError(f"gain must be positive and finite, got {gain}")
+    if not (0.0 < rate < 2.0 / gain):
+        raise ValueError(f"rate must lie in (0, 2/gain) = (0, {2.0 / gain:.6g}), "
+                         f"got {rate}")
+    if mode not in ("strict", "relaxed"):
+        raise ValueError(f"unknown mode {mode!r}")
 
     def grade(slack: float) -> int:
         if slack <= -STRICT_MARGIN:
             return 0
-        return 1 if relaxed and slack <= RELAXED_TOL_DEFAULT else 2
+        return 1 if mode == "relaxed" and slack <= RELAXED_TOL_DEFAULT else 2
 
-    best_p = np.eye(m)
-    best_slack = float(np.linalg.eigvalsh(
-        a * model.m4 - 2.0 * model.second_moment + chi * best_p)[-1])
-    gamma_gap = np.nan
-    if problem.p_restriction == "free" and model.supports_general_p:
-        gamma = 1.0 - a * chi
-        values, vectors = np.linalg.eigh(mean_square_map_matrix(model, a))
-        gamma_gap = gamma - values[-1]
-        if grade(best_slack) > 0:
-            p, slack = _resolvent(values, vectors, gamma, a, m)
-            if grade(slack) < grade(best_slack):
-                best_p, best_slack = p, slack
+    p = np.eye(model.dim)
+    slack = float(np.linalg.eigvalsh(
+        gain * model.m4 - 2.0 * model.second_moment + rate * p)[-1])
+    if alternative is not None and grade(slack) > 0:
+        p_alt, slack_alt = alternative(model, gain, rate)
+        if grade(slack_alt) < grade(slack):
+            p, slack = p_alt, slack_alt
+    if grade(slack) == 2:
+        return None
+    certificate = GainCertificate(
+        gain=gain, rate=rate, p_matrix=p, slack=slack,
+        p_min_eigenvalue=float(np.linalg.eigvalsh(p)[0]),
+        tolerance_limited=grade(slack) == 1)
+    ok, diag = check_certificate(model, certificate, RELAXED_TOL_DEFAULT
+                                 if certificate.tolerance_limited else EPS_FEAS_DEFAULT)
+    if not ok:
+        raise NonConvergence(f"certificate failed independent verification: {diag}")
+    return certificate
 
-    feasible = grade(best_slack) < 2
-    tolerance_limited = grade(best_slack) == 1
-    certificate = None
-    if feasible:
-        certificate = GainCertificate(
-            gain=a, rate=chi, p_matrix=best_p, slack=best_slack,
-            p_min_eigenvalue=float(np.linalg.eigvalsh(best_p)[0]),
-            tolerance_limited=tolerance_limited)
-        ok, diag = check_certificate(model, certificate, RELAXED_TOL_DEFAULT
-                                     if relaxed else EPS_FEAS_DEFAULT)
-        if not ok:
-            raise NonConvergence(
-                f"certificate failed independent verification: {diag}")
-    return FeasibilityOutcome(
-        feasible=feasible,
-        certificate=certificate,
-        best_slack=best_slack,
-        spectral_margin=float(gamma_gap),
-        tolerance_limited=tolerance_limited,
-    )
+
+def identity_certificate(model: MomentModel, gain: float, rate: float,
+                         mode: str = "strict") -> Optional[GainCertificate]:
+    """Corollary 2: the checked certificate with P = I for (a, chi), or None."""
+    return _certify(model, gain, rate, mode)
+
+
+def solve_feasibility(model: MomentModel, gain: float, rate: float,
+                      mode: str = "strict") -> Optional[GainCertificate]:
+    """Theorem 1: a checked certificate with free P > 0 for (a, chi), or None.
+
+    The identity is kept when it certifies strictly; otherwise T^ is
+    eigendecomposed once and the resolvent certificate replaces the
+    identity when it does better.  Raises ``UnsupportedOperator`` for a
+    printed-moments model that the identity does not certify strictly.
+    """
+    return _certify(model, gain, rate, mode, _resolvent)

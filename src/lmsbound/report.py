@@ -294,15 +294,25 @@ def build_errorbound_table(
     terminal error when ``simulations`` is given, and a flag row marking
     tolerance-limited certificates.  The working gain comes from the
     corollary2 sup in ``results`` (``supgain_results``) unless ``gain`` is
-    given.  ``simulations`` maps a benchmark to a run already made at its
-    working gain (``working_gain_simulations``); the table itself never
+    given.  A benchmark whose sup leaves no positive working gain (e.g. a
+    singular law in strict mode) gets "-" cells, with the reason as the gain
+    cell's note.  ``simulations`` maps a benchmark to a run already made at
+    its working gain (``working_gain_simulations``); the table itself never
     simulates, and a benchmark without a run gets an empty simulation cell.
     """
+    rows = ["gain", "chi_theorem1", "chi_corollary2", "theorem1",
+            "corollary2", "zhu_criterion"]
+    rows += ["flags"] if simulations is None else ["simulation", "flags"]
     columns: list[dict[str, Cell]] = []
     for name in names:
         model = models[name]
-        a = gain if gain is not None else protocol_gain(
-            results[(name, CriterionKind.COROLLARY2)].sup_gain, xi)
+        try:
+            a = gain if gain is not None else protocol_gain(
+                results[(name, CriterionKind.COROLLARY2)].sup_gain, xi)
+        except GainTooLarge as exc:
+            columns.append({row: Cell(text="-", note=str(exc) if row == "gain" else "")
+                            for row in rows})
+            continue
         second = model.second_moment
         c2 = max_chi_search(model, CriterionKind.COROLLARY2, a, mode=mode)
         col = {"gain": Cell(value=a), "chi_corollary2": Cell(value=c2.chi),
@@ -328,9 +338,6 @@ def build_errorbound_table(
         col["flags"] = Cell(text="; ".join(flags))
         columns.append(col)
 
-    rows = ["gain", "chi_theorem1", "chi_corollary2", "theorem1",
-            "corollary2", "zhu_criterion"]
-    rows += ["flags"] if simulations is None else ["simulation", "flags"]
     table = Table("errorbound", tuple(names))
     for row in rows:
         table.add_row(row, [col[row] for col in columns])

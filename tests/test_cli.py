@@ -58,6 +58,22 @@ class TestSupgain:
         assert "tolerance-limited" in rows["corollary2"][3]
         assert "inapplicable" in rows["zhu_criterion"][3]
 
+    def test_strict_mode(self, runner):
+        # A regular law reads the same in both modes; the singular 1D has no
+        # strictly feasible point, so its certificate sups are 0 and flagged.
+        for model in ("1B", "reed"):
+            strict = run(runner, "supgain", "--model", model, "--mode", "strict")
+            assert strict.exit_code == 0
+            assert strict.output == run(runner, "supgain", "--model", model).output
+        res = run(runner, "supgain", "--model", "1D", "--mode", "strict",
+                  "--format", "csv")
+        assert res.exit_code == 0
+        rows = csv_rows(res.output)
+        for kind in ("theorem1", "corollary2"):
+            assert rows[kind][:4] == ["0.0", "", "", "strictly-infeasible"]
+            assert "no strictly feasible point" in rows[kind][4]
+        assert float(rows["widrow_trace"][0]) == 1.0
+
     def test_printed_model_skips_free_matrix_route(self, runner):
         res = run(runner, "supgain", "--model", "reed", "--format", "csv")
         rows = csv_rows(res.output)
@@ -165,6 +181,27 @@ class TestErrorbound:
         zhu = by_row["zhu_criterion"]["cells"]["value"]
         assert zhu.get("infinite") is True
         assert "tolerance-limited" in by_row["flags"]["cells"]["value"]["text"]
+
+    def test_strict_mode(self, runner):
+        for model in ("1A", "1B", "1C", "reed"):
+            strict = run(runner, "errorbound", "--model", model, "--mode", "strict")
+            assert strict.exit_code == 0
+            assert strict.output == run(runner, "errorbound", "--model", model).output
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+    def test_strict_singular_law_has_no_working_gain(self, runner, fmt):
+        res = run(runner, "errorbound", "--model", "1D", "--mode", "strict",
+                  "--format", fmt)
+        assert res.exit_code == 0
+        assert "sup gain 0.0 leaves no positive working gain" in res.output
+        if fmt == "csv":
+            rows = csv_rows(res.output)
+            assert all(rows[row] == ["-"] for row in rows if row != "notes")
+        # A gain that the criteria cannot certify strictly stays an input error.
+        res = run(runner, "errorbound", "--model", "1D", "--mode", "strict",
+                  "--gain", "0.05")
+        assert res.exit_code == 2
+        assert "not strictly feasible" in res.output
 
     def test_explicit_gain_override(self, runner):
         res = run(runner, "errorbound", "--model", "1B", "--gain", "0.1",
@@ -705,6 +742,32 @@ class TestReport:
         assert t4["zhu_criterion"][3] == "Inf"
         assert "simulation" not in t4
         assert "tolerance-limited" in t4["flags"][3]
+
+    def test_strict_skip_simulation_tables(self, runner, tmp_path):
+        relaxed, strict = tmp_path / "relaxed", tmp_path / "strict"
+        assert run(runner, "report", "--out-dir", str(relaxed),
+                   "--skip-simulation").exit_code == 0
+        res = run(runner, "report", "--out-dir", str(strict), "--skip-simulation",
+                  "--mode", "strict")
+        assert res.exit_code == 0
+        assert res.output.strip().splitlines() == [
+            str(strict / "table3.csv"), str(strict / "table4.csv")]
+
+        t3, t3_relaxed = (csv_rows((d / "table3.csv").read_text())
+                          for d in (strict, relaxed))
+        assert [t3["theorem1"][3], t3["corollary2"][3]] == ["0.0", "0.0"]
+        for row in t3:
+            if row != "notes":
+                for col in (0, 1, 2, 4):
+                    assert t3[row][col] == t3_relaxed[row][col], (row, col)
+
+        t4, t4_relaxed = (csv_rows((d / "table4.csv").read_text())
+                          for d in (strict, relaxed))
+        for row in t4:
+            if row != "notes":
+                assert t4[row][:3] == t4_relaxed[row][:3], row
+                assert t4[row][3] == "-", row
+        assert t4["notes"][3] == "gain: sup gain 0.0 leaves no positive working gain"
 
     def test_table3_notes_row(self, runner, tmp_path):
         out = tmp_path / "reports"

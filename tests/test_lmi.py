@@ -147,35 +147,38 @@ class TestMeanSquareMap:
 class TestProblemValidation:
     def test_rejects_nonpositive_gain(self):
         model = presets.benchmark_model("1A")
-        with pytest.raises(ValueError, match="gain"):
-            lmi.LmiProblem(model, 0.0, 0.1)
-        with pytest.raises(ValueError, match="gain"):
-            lmi.LmiProblem(model, -0.5, 0.1)
+        for certify in (lmi.identity_certificate, lmi.solve_feasibility):
+            for gain in (0.0, -0.5, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="gain must be positive"):
+                    certify(model, gain, 0.1)
 
     def test_rejects_rate_outside_window(self):
         model = presets.benchmark_model("1A")
-        with pytest.raises(ValueError, match="rate"):
-            lmi.LmiProblem(model, 0.5, 0.0)
-        with pytest.raises(ValueError, match="rate"):
-            lmi.LmiProblem(model, 0.5, 4.0)   # 2/gain = 4 is excluded
+        for certify in (lmi.identity_certificate, lmi.solve_feasibility):
+            with pytest.raises(ValueError, match="rate"):
+                certify(model, 0.5, 0.0)
+            with pytest.raises(ValueError, match=r"rate must lie in \(0, 2/gain\)"):
+                certify(model, 0.5, 4.0)   # 2/gain = 4 is excluded
 
-    def test_rejects_unknown_mode_and_restriction(self):
+    def test_rejects_unknown_mode(self):
         model = presets.benchmark_model("1A")
-        with pytest.raises(ValueError, match="mode"):
-            lmi.LmiProblem(model, 0.1, 0.1, mode="loose")
-        with pytest.raises(ValueError, match="p_restriction"):
-            lmi.LmiProblem(model, 0.1, 0.1, p_restriction="diagonal")
+        for certify in (lmi.identity_certificate, lmi.solve_feasibility):
+            with pytest.raises(ValueError, match="mode"):
+                certify(model, 0.1, 0.1, mode="loose")
+
+
+def identity_slack(model, a, chi):
+    q = a * model.m4 - 2.0 * model.second_moment + chi * np.eye(model.dim)
+    return float(np.linalg.eigvalsh(q)[-1])
 
 
 class TestSolveFeasibility:
     def test_easy_gain_is_strictly_feasible(self):
         model = presets.benchmark_model("1A")
-        out = lmi.solve_feasibility(lmi.LmiProblem(model, 0.1, 1e-4, mode="strict"))
-        assert out.feasible
-        assert not out.tolerance_limited
-        assert out.best_slack <= -lmi.STRICT_MARGIN
-        cert = out.certificate
+        cert = lmi.solve_feasibility(model, 0.1, 1e-4, mode="strict")
         assert cert is not None
+        assert not cert.tolerance_limited
+        assert cert.slack <= -lmi.STRICT_MARGIN
         ok, diag = lmi.check_certificate(model, cert)
         assert ok, diag
 
@@ -184,48 +187,60 @@ class TestSolveFeasibility:
         # shaped P still is: the two routes must disagree.
         model = presets.benchmark_model("1B")
         a, chi = 0.158, 1e-4
-        free = lmi.solve_feasibility(lmi.LmiProblem(model, a, chi, mode="strict"))
-        pinned = lmi.solve_feasibility(
-            lmi.LmiProblem(model, a, chi, mode="strict", p_restriction="identity"))
-        assert free.feasible
-        assert not pinned.feasible
-        assert free.best_slack <= -lmi.STRICT_MARGIN
-        assert pinned.best_slack > 0
+        free = lmi.solve_feasibility(model, a, chi, mode="strict")
+        assert free is not None
+        assert free.slack <= -lmi.STRICT_MARGIN
+        assert lmi.identity_certificate(model, a, chi, mode="strict") is None
+        assert identity_slack(model, a, chi) > 0
 
-    def test_infeasible_gain_reports_positive_slack(self):
+    def test_infeasible_gain_has_no_certificate(self):
         model = presets.benchmark_model("1A")
-        out = lmi.solve_feasibility(lmi.LmiProblem(model, 1.5, 1e-4, mode="strict"))
-        assert not out.feasible
-        assert out.certificate is None
-        assert out.best_slack > 0
+        assert lmi.solve_feasibility(model, 1.5, 1e-4, mode="strict") is None
+        assert lmi.solve_feasibility(model, 1.5, 1e-4, mode="relaxed") is None
+        assert identity_slack(model, 1.5, 1e-4) > 0
 
     def test_singular_law_needs_relaxed_mode(self):
         # A perfectly correlated regressor freezes one direction: no strictly
         # feasible P exists, but the relaxed run certifies the boundary.
         model = presets.benchmark_model("1D")
-        strict = lmi.solve_feasibility(lmi.LmiProblem(model, 0.2, 1e-6, mode="strict"))
-        assert not strict.feasible
-        relaxed = lmi.solve_feasibility(lmi.LmiProblem(model, 0.2, 1e-6, mode="relaxed"))
-        assert relaxed.feasible
+        assert lmi.solve_feasibility(model, 0.2, 1e-6, mode="strict") is None
+        relaxed = lmi.solve_feasibility(model, 0.2, 1e-6, mode="relaxed")
+        assert relaxed is not None
         assert relaxed.tolerance_limited
-        assert relaxed.certificate is not None
-        assert relaxed.certificate.tolerance_limited
 
     def test_certificate_p_is_positive_definite(self):
         model = presets.benchmark_model("1C")
-        out = lmi.solve_feasibility(lmi.LmiProblem(model, 0.3, 1e-4, mode="strict"))
-        assert out.feasible
-        assert out.certificate.p_min_eigenvalue > 0
-        values = np.linalg.eigvalsh(out.certificate.p_matrix)
-        assert values[0] > 0
+        cert = lmi.solve_feasibility(model, 0.3, 1e-4, mode="strict")
+        assert cert is not None
+        assert cert.p_min_eigenvalue > 0
+        assert np.linalg.eigvalsh(cert.p_matrix)[0] > 0
 
-    def test_spectral_margin_sign_tracks_feasibility(self):
-        model = presets.benchmark_model("1B")
-        good = lmi.solve_feasibility(lmi.LmiProblem(model, 0.10, 1e-4))
-        bad = lmi.solve_feasibility(lmi.LmiProblem(model, 0.30, 1e-4))
-        assert good.spectral_margin > 0
-        assert bad.spectral_margin < 0
-        assert good.feasible and not bad.feasible
+    def test_identity_kept_when_it_certifies_strictly(self, monkeypatch):
+        # At 1A's theorem1 sup certificate point the identity certifies
+        # strictly, so T^ (d x d, d = 3) is never eigendecomposed.
+        model = presets.benchmark_model("1A")
+        a = bounds.sup_gain(model, bounds.CriterionKind.THEOREM1).sup_gain
+        eigh = np.linalg.eigh
+
+        def small_only(mat, *args, **kwargs):
+            if len(mat) == 3:
+                raise AssertionError("T^ eigendecomposed")
+            return eigh(mat, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", small_only)
+        cert = lmi.solve_feasibility(model, a * (1.0 - bounds.TOL_A),
+                                     bounds.TOL_CHI, mode="relaxed")
+        assert cert is not None and not cert.tolerance_limited
+        assert np.array_equal(cert.p_matrix, np.eye(2))
+
+    def test_certificate_checked_at_the_tolerance_it_claims(self, monkeypatch):
+        # The identity slack at 1A, a = 0.5, chi = 1e-6 is 4a - 2 + chi = +1e-6:
+        # tolerance-limited.  A resolvent that wrongly claims P = I with slack
+        # -1 grades as strict, so it is checked at EPS_FEAS_DEFAULT and refused.
+        model = presets.benchmark_model("1A")
+        assert identity_slack(model, 0.5, 1e-6) == pytest.approx(1e-6, rel=1e-6)
+        monkeypatch.setattr(lmi, "_resolvent", lambda *args: (np.eye(2), -1.0))
+        with pytest.raises(linalg.NonConvergence, match="verification"):
+            lmi.solve_feasibility(model, 0.5, 1e-6, mode="relaxed")
 
     def test_identity_restriction_matches_pencil_sign(self):
         # Identity-restricted feasibility must agree with the closed-form
@@ -235,11 +250,9 @@ class TestSolveFeasibility:
             for chi in (1e-5, 1e-3, 0.05):
                 if not chi < 2.0 / a:
                     continue
-                q = a * model.m4 - 2.0 * model.second_moment + chi * np.eye(2)
-                predicted = np.linalg.eigvalsh(q)[-1] <= -lmi.STRICT_MARGIN
-                out = lmi.solve_feasibility(lmi.LmiProblem(
-                    model, a, chi, mode="strict", p_restriction="identity"))
-                assert out.feasible == predicted, (a, chi)
+                predicted = identity_slack(model, a, chi) <= -lmi.STRICT_MARGIN
+                cert = lmi.identity_certificate(model, a, chi, mode="strict")
+                assert (cert is not None) == predicted, (a, chi)
 
 
 class TestCheckCertificate:
