@@ -16,6 +16,8 @@ certificate itself comes from ``lmi.identity_certificate`` (corollary2) or
 Three are classical literature rules, read off the model's spectrum of S:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
 ``zhu_criterion`` (2*lambda_min/lambda_max^2, inapplicable for singular S).
+One relative rule (``_range_mask``) decides singularity for the Zhu sup and
+bound and for the certificate routes alike.
 
 The error bounds mirror the certificates: given (a, chi, P) the asymptotic
 mean-squared error is bounded by a*sigma_eps^2*tr(P S)/(chi*lambda_min(P))
@@ -40,7 +42,7 @@ from .moments import MomentModel
 
 TOL_A = 1e-5     # sup certificates are built at the gain sup*(1 - TOL_A)
 TOL_CHI = 1e-9   # their rate; with STRICT_MARGIN, the theorem1 rate back-off
-_SINGULAR_TOL = 1e-9
+_SINGULAR_TOL = 1e-9  # relative: lambda <= _SINGULAR_TOL * lambda_max counts as 0
 
 
 class GainTooLarge(ValueError):
@@ -94,9 +96,9 @@ def pencil_max_eigenvalue(model: MomentModel, gain: float) -> float:
     return float(np.linalg.eigvalsh(gain * model.m4 - 2.0 * model.second_moment)[-1])
 
 
-def _singular(values: np.ndarray) -> bool:
-    """Whether S with ascending eigenvalues ``values`` is singular (Zhu sup and bound)."""
-    return values[0] <= _SINGULAR_TOL * max(1.0, values[-1])
+def _range_mask(values: np.ndarray) -> np.ndarray:
+    """Which ascending eigenvalues ``values`` of a PSD matrix span its range."""
+    return values > _SINGULAR_TOL * max(float(values[-1]), 0.0)
 
 
 def protocol_gain(sup_gain: float, xi: float = presets.XI) -> float:
@@ -117,7 +119,7 @@ def protocol_gain(sup_gain: float, xi: float = presets.XI) -> float:
 def _range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Eigenpairs of a PSD matrix on its range, and whether the matrix is singular."""
     values, vectors = np.linalg.eigh(mat)
-    keep = values > _SINGULAR_TOL * max(float(values[-1]), 0.0)
+    keep = _range_mask(values)
     return values[keep], vectors[:, keep], not keep.all()
 
 
@@ -133,7 +135,8 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     frozen direction and no strictly feasible point) as strictly
     infeasible; "relaxed" (default) reads the sup on the range and certifies
     it with slack within ``RELAXED_TOL_DEFAULT``, flagged tolerance-limited.
-    The certificate is built at the gain sup*(1 - TOL_A).
+    The certificate is built at the gain sup*(1 - TOL_A); where none passes
+    the mode's slack test there, the sup is returned with a note saying so.
     """
     lam, trace = model.second_moment_eigenvalues, float(np.trace(model.second_moment))
 
@@ -146,7 +149,7 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
             return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
         return SupGainResult(kind, 2.0 / trace)
     if kind is CriterionKind.ZHU:
-        if _singular(lam):
+        if not _range_mask(lam).all():
             return SupGainResult(
                 kind, 0.0, inapplicable=True,
                 note="second moment is singular; criterion gives a zero gain")
@@ -176,8 +179,11 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
         cert = identity_certificate(model, a_cert, chi, mode)
     else:
         cert = solve_feasibility(model, a_cert, TOL_CHI, mode)
+    if cert is None:
+        return SupGainResult(kind, sup, note=f"no certificate passed the {mode} "
+                                             f"slack test at sup*(1 - {TOL_A:g})")
     return SupGainResult(kind, sup, certificate=cert,
-                         tolerance_limited=cert is not None and cert.tolerance_limited)
+                         tolerance_limited=cert.tolerance_limited)
 
 
 def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
@@ -274,7 +280,7 @@ def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
         return (gain / chi) * noise * float(np.trace(s))
     if kind is CriterionKind.ZHU:
         lam = linalg.eigh(s).values
-        if _singular(lam):
+        if not _range_mask(lam).all():
             return float("inf")
         return gain * noise * float(np.trace(s)) / (2.0 * float(lam[0]))
     raise ValueError(f"no error bound is defined for criterion {kind}")

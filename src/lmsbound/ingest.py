@@ -3,17 +3,21 @@
 Two table dialects are read: whitespace-delimited (.prn style) and
 comma-separated.  Parsing is strict: every data row must have the same
 number of columns (ragged rows are rejected with their 1-based line number)
-and every token must be a finite number.  Only the first non-blank line may
-be a non-numeric header, in which case it is skipped and recorded.
+and every token must be a finite number; each token is parsed once.  Only
+the first non-blank line may be a non-numeric header, in which case it is
+skipped and recorded.
 
 A ``RegressorRecipe`` turns raw columns into design rows from four term
 kinds: a raw column, a product of two columns, a squared column, and a
-constant.  Canonical CSV output uses shortest round-trip float formatting
-and LF line endings so that re-parsing reproduces the array bit for bit.
+constant.  ``describe`` renders a recipe that parses back to the same
+terms, constants included.  Canonical CSV output uses shortest round-trip
+float formatting and LF line endings so that re-parsing reproduces the
+array bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,17 +67,13 @@ class RawTable:
         return self.values.shape[1]
 
 
-def _split(line: str, delimiter: Optional[str]) -> list[str]:
-    if delimiter is None:
-        return line.split()
-    return [tok.strip() for tok in line.split(delimiter)]
-
-
-def _is_number(token: str) -> bool:
+def _number(token: str) -> Optional[float]:
+    """The token as a finite float, or None."""
     try:
-        return bool(np.isfinite(float(token)))
+        value = float(token)
     except ValueError:
-        return False
+        return None
+    return value if math.isfinite(value) else None
 
 
 def parse_table(source: Union[str, Path]) -> RawTable:
@@ -93,23 +93,20 @@ def parse_table_text(text: str, delimiter: Optional[str] = None,
                      source: str = "<text>") -> RawTable:
     rows: list[list[float]] = []
     header_skipped = False
-    width: Optional[int] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        tokens = _split(line, delimiter)
-        if not rows and not header_skipped and not all(_is_number(t) for t in tokens):
+        tokens = (line.split() if delimiter is None
+                  else [tok.strip() for tok in line.split(delimiter)])
+        parsed = [_number(tok) for tok in tokens]
+        if None in parsed:
+            if rows or header_skipped:
+                col = parsed.index(None)
+                raise ParseError(lineno, col + 1, tokens[col])
             header_skipped = True
             continue
-        parsed: list[float] = []
-        for col, token in enumerate(tokens, start=1):
-            if not _is_number(token):
-                raise ParseError(lineno, col, token)
-            parsed.append(float(token))
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
-            raise RaggedRow(lineno, width, len(parsed))
+        if rows and len(parsed) != len(rows[0]):
+            raise RaggedRow(lineno, len(rows[0]), len(parsed))
         rows.append(parsed)
     if not rows:
         raise EmptyData(f"{source}: no data rows")
@@ -123,9 +120,8 @@ def write_canonical_csv(values: np.ndarray, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-_TERM_RE = re.compile(
-    r"^(?:column\((\d+)\)|square\((\d+)\)|product\((\d+)\s*,\s*(\d+)\)"
-    r"|constant\(([-+0-9.eE]+)\))$")
+_TERM_RE = re.compile(r"(column|square)\((\d+)\)|product\((\d+)\s*,\s*(\d+)\)"
+                      r"|constant\(([-+0-9.eE]+)\)")
 
 
 @dataclass(frozen=True)
@@ -136,20 +132,22 @@ class RecipeTerm:
     value: float = 1.0
 
     def column_indices(self) -> tuple[int, ...]:
-        if self.kind == "column" or self.kind == "square":
-            return (self.i,)
-        if self.kind == "product":
-            return (self.i, self.j)
-        return ()
+        return {"constant": (), "product": (self.i, self.j)}.get(self.kind, (self.i,))
 
     def evaluate(self, table: np.ndarray) -> np.ndarray:
-        if self.kind == "column":
-            return table[:, self.i]
-        if self.kind == "square":
-            return table[:, self.i] ** 2
-        if self.kind == "product":
-            return table[:, self.i] * table[:, self.j]
-        return np.full(table.shape[0], self.value)
+        if self.kind == "constant":
+            return np.full(table.shape[0], self.value)
+        factors = self.column_indices() * (2 if self.kind == "square" else 1)
+        with np.errstate(over="ignore"):  # DataMatrix rejects the inf rows
+            return np.prod(table[:, factors], axis=1)
+
+    def describe(self) -> str:
+        if self.kind != "constant":
+            return f"{self.kind}({','.join(map(str, self.column_indices()))})"
+        # The fewest digits from :g's six up that parse back; 17 always do.
+        digits = next((p for p in range(6, 17)
+                       if float(f"{self.value:.{p}g}") == self.value), 17)
+        return f"constant({self.value:.{digits}g})"
 
 
 @dataclass(frozen=True)
@@ -166,48 +164,26 @@ class RegressorRecipe:
     def parse(cls, text: str) -> "RegressorRecipe":
         """Parse "column(0), product(0,1), square(1), constant(1)" syntax."""
         # Split on commas not inside parens, so product(i,j) stays whole.
-        pieces, depth, cur = [], 0, ""
-        for ch in text:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
+        pieces, depth, start = [], 0, 0
+        for k, ch in enumerate(text):
+            depth += (ch == "(") - (ch == ")")
             if ch == "," and depth == 0:
-                pieces.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        pieces.append(cur)
+                pieces.append(text[start:k])
+                start = k + 1
+        pieces.append(text[start:])
         parsed = []
-        for piece in pieces:
-            piece = piece.strip()
-            if not piece:
-                continue
-            m = _TERM_RE.match(piece)
+        for piece in filter(None, map(str.strip, pieces)):
+            m = _TERM_RE.fullmatch(piece)
             if not m:
                 raise ValueError(f"bad recipe term {piece!r}")
-            if m.group(1) is not None:
-                parsed.append(RecipeTerm("column", i=int(m.group(1))))
-            elif m.group(2) is not None:
-                parsed.append(RecipeTerm("square", i=int(m.group(2))))
-            elif m.group(3) is not None:
-                parsed.append(RecipeTerm("product", i=int(m.group(3)), j=int(m.group(4))))
-            else:
-                parsed.append(RecipeTerm("constant", value=float(m.group(5))))
+            kind, col, i, j, value = m.groups()
+            parsed.append(RecipeTerm(kind, i=int(col)) if kind
+                          else RecipeTerm("product", i=int(i), j=int(j)) if i
+                          else RecipeTerm("constant", value=float(value)))
         return cls(tuple(parsed))
 
     def describe(self) -> str:
-        out = []
-        for t in self.terms:
-            if t.kind == "column":
-                out.append(f"column({t.i})")
-            elif t.kind == "square":
-                out.append(f"square({t.i})")
-            elif t.kind == "product":
-                out.append(f"product({t.i},{t.j})")
-            else:
-                out.append(f"constant({t.value:g})")
-        return ", ".join(out)
+        return ", ".join(term.describe() for term in self.terms)
 
 
 def build_design(table: RawTable, recipe: RegressorRecipe,

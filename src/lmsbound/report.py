@@ -128,9 +128,9 @@ class Table:
             [["row", *self.columns]] + self._body())
         return out.getvalue()
 
-    def to_text(self, precision: int = 4) -> str:
+    def to_text(self) -> str:
         header = ["row"] + list(self.columns)
-        body = self._body(precision)
+        body = self._body(4)
         widths = [max(len(r[i]) for r in [header] + body)
                   for i in range(len(header))]
         def fmt(row: list[str]) -> str:

@@ -573,9 +573,8 @@ def batch_ls(data: DataMatrix) -> np.ndarray:
     return theta
 
 
-def recursive_ls(data: DataMatrix, theta0: Optional[np.ndarray] = None,
-                 p0_scale: float = 1e6) -> np.ndarray:
-    """Recursive least squares with a diffuse prior P0 = p0_scale * I.
+def recursive_ls(data: DataMatrix, p0_scale: float = 1e6) -> np.ndarray:
+    """Recursive least squares from theta = 0 with a diffuse prior P0 = p0_scale * I.
 
     Converges to the batch solution as the prior diffuses; the gain vector
     is K = P h / (1 + h^T P h) per row, unit measurement weight.
@@ -583,7 +582,7 @@ def recursive_ls(data: DataMatrix, theta0: Optional[np.ndarray] = None,
     if data.responses is None:
         raise ValueError("least squares needs a response column")
     m = data.dim
-    theta = np.zeros(m) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(m)
     p = p0_scale * np.eye(m)
     for h, z in zip(data.rows, data.responses):
         ph = p @ h

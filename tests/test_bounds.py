@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lmsbound import bounds, lmi, presets
 from lmsbound.bounds import (
+    CERTIFICATE_KINDS,
     CriterionKind,
     GainTooLarge,
     InvalidRate,
@@ -20,10 +21,14 @@ from lmsbound.bounds import (
     protocol_gain,
     sup_gain,
 )
-from lmsbound.moments import (UnsupportedOperator, explicit_moment_model,
-                              gaussian_moment_model)
+from lmsbound.moments import (GaussianSpec, UnsupportedOperator,
+                              explicit_moment_model, gaussian_moment_model)
 
 K = CriterionKind
+
+# (sigma1, sigma2, rho) with lambda(S) = 5.0e-10 and 0.020: nonsingular by a
+# relative rule, yet no certificate passes the strict slack test at its sups.
+NEAR_SINGULAR = (0.1, 0.1, 0.99999995)
 
 
 def model(name):
@@ -96,7 +101,7 @@ class TestLiteratureSups:
                     want, abs=tol), (kind, name)
 
     # The first and the last law are singular relative to tr(S) but not to
-    # max(1, lambda_max(S)), so a tr(S) rule in the bound alone would give a
+    # lambda_max(S), so a tr(S) rule in the bound alone would give a
     # positive Zhu sup with an infinite Zhu bound.
     @pytest.mark.parametrize("diagonal", [
         (1.0, 1.0, 1.5e-9), (1.0, 1.0, 0.5e-9), (1.0, 2e-9), (3.0, 3.0, 3.0, 2.5e-9),
@@ -107,6 +112,15 @@ class TestLiteratureSups:
         gain = res.sup_gain if res.sup_gain > 0 else 0.1
         bound = asymptotic_bound(K.ZHU, gain, None, None, law.second_moment, 0.1)
         assert res.inapplicable == np.isinf(bound)
+
+    @pytest.mark.parametrize("law", [
+        NEAR_SINGULAR, presets.GAUSSIAN_CASES["1D"], presets.GAUSSIAN_CASES["1B"]])
+    def test_zhu_and_strict_corollary2_agree_on_singularity_at_any_scale(self, law):
+        cov = GaussianSpec.from_two_dim(*law).covariance
+        for k in range(-20, 21):
+            scaled = gaussian_moment_model(cov * 2.0**k)
+            pinned = sup_gain(scaled, K.COROLLARY2, mode="strict")
+            assert sup_gain(scaled, K.ZHU).inapplicable == pinned.strictly_infeasible, k
 
 
 class TestIdentityCertificateSup:
@@ -266,6 +280,26 @@ class TestClosedFormAgainstBisection:
                              (pinned, lmi.identity_certificate)):
             assert certify(gauss, res.sup_gain * (1.0 + 1e-6), bounds.TOL_CHI,
                            mode="strict") is None
+
+
+class TestUncertifiedSup:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+           st.one_of(st.floats(-1.0, 1.0), st.floats(0.9999999, 1.0)))
+    @example(*NEAR_SINGULAR)
+    def test_certified_infeasible_or_noted(self, sigma1, sigma2, rho):
+        law = gaussian_moment_model(GaussianSpec.from_two_dim(sigma1, sigma2, rho))
+        for mode in ("strict", "relaxed"):
+            for kind in CERTIFICATE_KINDS:
+                res = sup_gain(law, kind, mode)
+                certified = res.certificate is not None
+                assert certified or res.strictly_infeasible or res.note, (kind, mode)
+
+    def test_note_names_the_slack_test(self):
+        res = sup_gain(gaussian_moment_model(GaussianSpec.from_two_dim(*NEAR_SINGULAR)),
+                       K.COROLLARY2, mode="strict")
+        assert res.certificate is None and not res.strictly_infeasible
+        assert res.note == "no certificate passed the strict slack test at sup*(1 - 1e-05)"
 
 
 class TestProtocolGain:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lmsbound.ingest import (
     ColumnOutOfRange,
@@ -16,6 +19,28 @@ from lmsbound.ingest import (
     write_canonical_csv,
 )
 from lmsbound.moments import EmptyData
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def recipes():
+    """Random term lists of all four kinds over 3 columns, product(i, i) included.
+
+    Constants carry 1 to 17 significant digits, so most are not exact at
+    the six digits that ``:g`` prints.
+    """
+    index = st.integers(0, 2)
+    constant = st.tuples(
+        st.integers(1, 17),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    ).map(lambda dv: RecipeTerm("constant", value=float(f"{dv[1]:.{dv[0]}g}")))
+    term = st.one_of(
+        st.builds(RecipeTerm, st.sampled_from(["column", "square"]), index),
+        st.builds(RecipeTerm, st.just("product"), index, index),
+        constant,
+    )
+    return st.lists(term, min_size=1, max_size=6).map(
+        lambda terms: RegressorRecipe(tuple(terms)))
 
 
 class TestParseTableText:
@@ -115,11 +140,18 @@ class TestRecipeParse:
         assert recipe.terms[1].i == 0
         assert recipe.terms[1].j == 1
 
-    def test_describe_round_trip(self):
-        text = "column(0), product(0,1), square(1), constant(1)"
-        recipe = RegressorRecipe.parse(text)
-        again = RegressorRecipe.parse(recipe.describe())
-        assert again == recipe
+    @PROPERTY
+    @given(recipes())
+    def test_describe_round_trip(self, recipe):
+        assert RegressorRecipe.parse(recipe.describe()) == recipe
+
+    def test_describe_keeps_short_constants(self):
+        recipe = RegressorRecipe.parse(
+            "column(0), product(0, 1), square(1), constant(1), constant(0.25)")
+        assert recipe.describe() == (
+            "column(0), product(0,1), square(1), constant(1), constant(0.25)")
+        assert RegressorRecipe.parse("constant(2.718281828)").describe() == (
+            "constant(2.718281828)")
 
     def test_constant_value(self):
         recipe = RegressorRecipe.parse("constant(-2.5e-1)")
@@ -143,13 +175,17 @@ class TestBuildDesign:
                                   [3.0, 4.0, 20.0],
                                   [5.0, 6.0, 30.0]]))
 
-    def test_matches_numpy_oracle(self):
-        recipe = RegressorRecipe.parse(
-            "column(0), square(1), product(0,1), constant(1)")
-        design = build_design(self.table(), recipe, response_col=2)
-        v = self.table().values
-        expected = np.column_stack(
-            [v[:, 0], v[:, 1] ** 2, v[:, 0] * v[:, 1], np.ones(3)])
+    @PROPERTY
+    @given(recipes(), arrays(float, (4, 3), elements=st.floats(-1e6, 1e6)))
+    def test_matches_numpy_oracle(self, recipe, v):
+        """The design of the recipe a description names is the numpy oracle."""
+        oracle = {"column": lambda t: v[:, t.i],
+                  "square": lambda t: v[:, t.i] ** 2,
+                  "product": lambda t: v[:, t.i] * v[:, t.j],
+                  "constant": lambda t: np.full(4, t.value)}
+        described = RegressorRecipe.parse(recipe.describe())
+        design = build_design(RawTable(v), described, response_col=2)
+        expected = np.column_stack([oracle[t.kind](t) for t in recipe.terms])
         assert np.array_equal(design.rows, expected)
         assert np.array_equal(design.responses, v[:, 2])
 
