@@ -177,9 +177,11 @@ class RegressorRecipe:
             if not m:
                 raise ValueError(f"bad recipe term {piece!r}")
             kind, col, i, j, value = m.groups()
+            if value is not None and (value := _number(value)) is None:
+                raise ValueError(f"bad recipe term {piece!r}: not a finite constant")
             parsed.append(RecipeTerm(kind, i=int(col)) if kind
                           else RecipeTerm("product", i=int(i), j=int(j)) if i
-                          else RecipeTerm("constant", value=float(value)))
+                          else RecipeTerm("constant", value=value))
         return cls(tuple(parsed))
 
     def describe(self) -> str:

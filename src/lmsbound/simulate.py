@@ -24,8 +24,18 @@ later chunk on a one-byte request token, works out each chunk's length
 itself, and answers with a one-byte ready token.  ``_draw_chunk`` waits
 for chunk c and at once asks for chunk c + 1, which the helper draws into
 the other slot while the parent steps chunk c: the draws overlap the
-update loop.  When the run ends, exits early or raises, the parent closes
-its pipe ends, kills the helper with SIGKILL and reaps it.  The helper
+update loop.  That needs the helper on another core.  Left to the
+scheduler, the woken helper may run on the parent's core, so each request
+stalls the parent for a whole fill; so where ``os.sched_setaffinity``
+exists and the parent may run on two or more CPUs, the helper restricts
+itself, before it fills chunk 0, to those CPUs less the one the parent runs
+on at the fork (``_helper_cpus``).  One fixed CPU for every helper would
+not do: a parent running there stalls as before.  The parent's own
+affinity is never changed, and where ``/proc`` cannot be read, the set has
+one CPU or the call fails, the helper runs where the scheduler puts it.
+
+When the run ends, exits early or raises, the parent closes its pipe
+ends, kills the helper with SIGKILL and reaps it.  The helper
 only fills and signals, and ends with ``os._exit``; it also ends on EOF,
 so a helper whose parent died ends within one chunk.  It calls no BLAS
 routine and takes no lock that another thread of the parent may hold, so
@@ -42,7 +52,9 @@ purpose: one (chunk, m) @ (m, m) product per replication takes another
 BLAS path when R = 1 and differs from the per-step product in the last
 bits.  The regressors are then copied once into a component-major
 (chunk, m, 1, R) buffer, so that a step reads one contiguous (m, 1, R)
-slice.  The chunk's buffers are allocated once per run and reused.
+slice.  The chunk's buffers are allocated once per run and reused, as is
+``run_lms``'s (m, chunk, 1, R) buffer of the products h_i theta*_i; the
+step loop takes its views of the lanes of ``_component_sum`` once per block.
 
 Component-major state and one update line
 -----------------------------------------
@@ -116,6 +128,7 @@ handles exactly singular covariances without any jitter.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import warnings
@@ -238,6 +251,25 @@ def _initial_estimates(config: SimConfig,
     return np.tile(config.init, (config.replications, 1))
 
 
+def _running_cpu() -> int:
+    """The CPU this thread is running on: field 39 of its ``stat`` line."""
+    with open("/proc/thread-self/stat") as stat:
+        # Fields 3 on follow the parenthesized command name.
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
+
+
+def _helper_cpus() -> Optional[set[int]]:
+    """The CPUs the draw helper may run on: the caller's own set less the
+    CPU the caller is running on, or None to leave the helper unpinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        cpus = os.sched_getaffinity(0)
+        return cpus - {_running_cpu()} if len(cpus) > 1 else None
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 class _Streams:
     """The replication streams, chunk by chunk, in a two-slot shared buffer.
 
@@ -284,6 +316,7 @@ class _Streams:
         self.fds += os.pipe()   # requests, parent to helper
         self.fds += os.pipe()   # ready tokens, helper to parent
         request_in, self.request, self.ready, ready_out = self.fds
+        cpus = _helper_cpus()
         with warnings.catch_warnings():
             # Python >= 3.12 warns after forking a threaded process, such as
             # one with an OpenBLAS pool, which is safe here; raised as an
@@ -296,6 +329,9 @@ class _Streams:
             try:
                 os.close(self.request)
                 os.close(self.ready)
+                if cpus:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, cpus)
                 index = 0
                 while True:
                     self.fill(index)
@@ -366,6 +402,13 @@ class SimBatch(list):
         return sum(result.diverged_count for result in self)
 
 
+def _lane_adds(p: np.ndarray, out: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``_component_sum``'s additions as (a, b, sum) views of ``p`` and ``out``,
+    in order; none when there is one component."""
+    adds = [(p[i % 2], p[i], p[i % 2]) for i in range(2, len(p))]
+    return adds + [(p[0], p[1], out)] if len(p) > 1 else adds
+
+
 def _component_sum(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The sum of ``p`` over its first (component) axis, in two lanes.
 
@@ -376,12 +419,10 @@ def _component_sum(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
     """
     if out is None:
         out = p[0]
-    for i in range(2, len(p)):
-        p[i % 2] += p[i]
-    if len(p) > 1:
-        np.add(p[0], p[1], out=out)
-    else:
+    if len(p) == 1:
         np.copyto(out, p[0])
+    for a, b, total in _lane_adds(p, out):
+        np.add(a, b, out=total)
     return out
 
 
@@ -392,17 +433,22 @@ def _steps(state: np.ndarray, hs: np.ndarray, zs: np.ndarray, scale: np.ndarray,
 
     Each step is ``state - (scale * (h . state - z)) * h``, with the dot
     product over the m components in ``_component_sum``'s order; returns
-    the last state.
+    the last state.  The (G, R) ``scale`` has the residual's shape, so its
+    product does not broadcast.
     """
     products = np.empty(state.shape)
-    resid = np.empty(state.shape[1:])
+    # With one component the dot product is the product itself.
+    resid = products[0] if len(products) == 1 else np.empty(state.shape[1:])
+    adds = _lane_adds(products, resid)
+    # ``out`` goes by position, which numpy parses faster than a keyword.
     for h, z, new in zip(hs, zs, history):
-        np.multiply(state, h, out=products)
-        _component_sum(products, out=resid)
-        resid -= z
-        resid *= scale
-        np.multiply(resid, h, out=products)
-        state = np.subtract(state, products, out=new)
+        np.multiply(state, h, products)
+        for a, b, total in adds:
+            np.add(a, b, total)
+        np.subtract(resid, z, resid)
+        np.multiply(resid, scale, resid)
+        np.multiply(resid, h, products)
+        state = np.subtract(state, products, new)
     return state
 
 
@@ -455,7 +501,7 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
         """Squared error norms of (..., m, G, R) states, which are overwritten."""
         states -= parked
         states *= states
-        return _component_sum(np.moveaxis(states, -3, 0))
+        return _component_sum(states.swapaxes(-3, 0))
 
     def freeze(sqs: np.ndarray, before: int) -> None:
         """Freeze each row at its first crossing among the (n, G, R) norms of
@@ -530,10 +576,14 @@ def run_lms(config: SimConfig,
     ``SimResult`` per gain comes back (``config.gain`` is then unused); each
     is bit-identical to a run of that gain alone.
     """
-    star = config.theta_star[:, None, None]
+    star = config.theta_star[:, None, None, None]
+    # The products h_i theta*_i, component-major; formed in place per chunk.
+    products = np.empty((config.model.dim, min(_CHUNK_STEPS, config.k_max), 1,
+                         config.replications))
 
     def measure(hs, noise):
-        noise += _component_sum(np.moveaxis(hs * star, 1, 0))
+        noise += _component_sum(np.multiply(hs.swapaxes(0, 1), star,
+                                            out=products[:, :len(hs)]))
         return noise
     return _simulate(config, gains, np.zeros(config.model.dim), measure)
 

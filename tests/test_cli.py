@@ -625,6 +625,13 @@ class TestIngestCheck:
                   "--recipe", "col(0)")
         assert res.exit_code == 2
 
+    def test_overflowing_constant_is_a_recipe_error(self, runner, tmp_path):
+        path = self.make_data(tmp_path)
+        res = run(runner, "ingest-check", "--data", str(path),
+                  "--recipe", "column(0), constant(1e999)")
+        assert res.exit_code == 2
+        assert "'constant(1e999)': not a finite constant" in res.output
+
     def test_missing_file(self, runner, tmp_path):
         res = run(runner, "ingest-check", "--data", str(tmp_path / "no.prn"),
                   "--recipe", "column(0)")

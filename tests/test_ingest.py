@@ -157,6 +157,20 @@ class TestRecipeParse:
         recipe = RegressorRecipe.parse("constant(-2.5e-1)")
         assert recipe.terms[0].value == pytest.approx(-0.25)
 
+    @pytest.mark.parametrize("value", [
+        0.1, -0.0, 1e-300, 5e-324, -2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 53 + 2])
+    def test_finite_constant_round_trip(self, value):
+        recipe = RegressorRecipe((RecipeTerm("constant", value=value),
+                                  RecipeTerm("column", i=1)))
+        assert RegressorRecipe.parse(recipe.describe()) == recipe
+
+    @pytest.mark.parametrize("text", ["1e999", "-1e999", "1e", "1.2.3"])
+    def test_non_finite_constant_rejected(self, text):
+        with pytest.raises(ValueError,
+                           match=rf"'constant\({text}\)': not a finite constant"):
+            RegressorRecipe.parse(f"column(0), constant({text})")
+
     @pytest.mark.parametrize("bad", [
         "col(0)", "square(a)", "product(1)", "column(0) square(1)",
         "column(-1)"])

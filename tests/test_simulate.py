@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo LMS engine and least-squares baselines."""
 
 import contextlib
+import errno
 import math
 import os
 import signal
@@ -232,8 +233,10 @@ def gaussian_law(cov):
 
 M1_MODEL = gaussian_law([[1.5]])
 M3_MODEL = gaussian_law([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]])
+M4_MODEL = gaussian_law(np.diag([1.2, 0.8, 0.5, 0.3]) + 0.1 * np.ones((4, 4)))
 M5_MODEL = gaussian_law(np.diag([1.0, 0.7, 0.5, 0.3, 0.2])
                         + 0.05 * np.ones((5, 5)))
+M7_MODEL = gaussian_law(np.diag(np.linspace(1.0, 0.2, 7)) + 0.05 * np.ones((7, 7)))
 # A law drawn the way the mc_ensemble benchmark draws its m = 3 laws.
 _ENSEMBLE_A = np.random.default_rng(5).standard_normal((3, 3))
 ENSEMBLE_MODEL = gaussian_law(_ENSEMBLE_A @ _ENSEMBLE_A.T + 0.1 * np.eye(3))
@@ -269,6 +272,15 @@ class TestBatchedKernel:
          [0.05, 0.3, 0.8, 2.0], 12),
         (presets.benchmark_model("1D"), np.array([1.0, 1.0]), "standard_normal",
          [0.1, 0.3, 0.6, 2.0], 12),
+        # m = 4 and m = 7 have two and three additions in each lane.
+        (M4_MODEL, np.array([1.0, -0.5, 0.25, 2.0]), "standard_normal",
+         [0.05, 0.4, 0.6, 1.0, 3.0], 1),
+        (M4_MODEL, np.array([1.0, -0.5, 0.25, 2.0]), "standard_normal",
+         [0.05, 0.4, 0.6, 1.0, 3.0], 12),
+        (M7_MODEL, np.linspace(-1.0, 1.0, 7), "standard_normal",
+         [0.05, 0.2, 0.4, 0.8, 3.0], 1),
+        (M7_MODEL, np.linspace(-1.0, 1.0, 7), "standard_normal",
+         [0.05, 0.2, 0.4, 0.8, 3.0], 12),
         (ENSEMBLE_MODEL, np.array([0.3, -1.2, 0.8]), "standard_normal", [0.1296], 100),
         # As the report runs 1B: its five working gains on the shared start
         # at 1000 replications (the BLAS path of the full protocol).  0.4999
@@ -280,7 +292,8 @@ class TestBatchedKernel:
     ], ids=["m2-random-init", "m2-fixed-init-zero-star", "m3-random-init-zero-star",
             "m3-fixed-init", "m2-one-replication", "m2-two-replications",
             "m3-one-replication", "m3-two-replications", "m1", "m5",
-            "m2-singular-1D", "m3-ensemble-law", "m2-1B-working-gains-1000"])
+            "m2-singular-1D", "m4-one-replication", "m4", "m7-one-replication", "m7",
+            "m3-ensemble-law", "m2-1B-working-gains-1000"])
     def test_each_gain_matches_reference_loop(self, model, theta_star, init,
                                               gains, reps):
         chunk = simulate._CHUNK_STEPS
@@ -414,6 +427,10 @@ def _assert_same(a, b):
     assert a.terminal_se == b.terminal_se
 
 
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no os.sched_setaffinity")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="draws inline without os.fork")
 class TestDrawHelper:
     def test_reaped_after_a_run(self):
@@ -485,6 +502,75 @@ class TestDrawHelper:
         for k, batch in zip(horizons, forked):
             for a, b in zip(batch, run_lms(replace(cfg, k_max=k), gains=gains)):
                 _assert_same(a, b)
+
+    @needs_affinity
+    def test_helper_runs_off_the_parents_cpu(self, monkeypatch):
+        parent = os.sched_getaffinity(0)
+        if len(parent) < 2 or not os.path.exists("/proc/thread-self/stat"):
+            pytest.skip("needs two CPUs and /proc/thread-self")
+        assert simulate._running_cpu() in parent
+        at_fork = []
+        running_cpu = simulate._running_cpu
+
+        def recorded():
+            at_fork.append(running_cpu())
+            return at_fork[-1]
+        monkeypatch.setattr(simulate, "_running_cpu", recorded)
+        chunk = simulate._CHUNK_STEPS
+        with simulate._Streams(simulate._make_generators(3, 4), 10 * chunk,
+                               chunk, 2) as streams:
+            # The helper pins itself before it fills chunk 0.
+            simulate._draw_chunk(streams)
+            helper = os.sched_getaffinity(streams.pid)
+            # The conftest check for child processes still sees it.
+            assert os.waitpid(streams.pid, os.WNOHANG) == (0, 0)
+        assert len(at_fork) == 1 and helper == parent - set(at_fork)
+        assert os.sched_getaffinity(0) == parent
+        _no_child_left()
+
+    @needs_affinity
+    def test_parent_affinity_is_kept(self):
+        parent = os.sched_getaffinity(0)
+        run_lms(config(k_max=3 * simulate._CHUNK_STEPS + 5))
+        assert os.sched_getaffinity(0) == parent
+
+        def measure(hs, noise):
+            raise FloatingPointError("injected")
+        with pytest.raises(FloatingPointError, match="injected"):
+            simulate._simulate(config(k_max=3 * simulate._CHUNK_STEPS), None,
+                               np.zeros(2), measure)
+        assert os.sched_getaffinity(0) == parent
+        _no_child_left()
+
+    @needs_affinity
+    @pytest.mark.parametrize("case", ["one-cpu", "no-sched-setaffinity",
+                                      "unreadable-proc", "setaffinity-fails"])
+    def test_helper_left_unpinned(self, monkeypatch, case):
+        cfg = config("1B", k_max=3 * simulate._CHUNK_STEPS + 7)
+        gains = [0.1, 0.45, 0.9]
+        pinned = run_lms(cfg, gains=gains)
+        getaffinity = os.sched_getaffinity
+        parent = getaffinity(0)
+
+        def fails(*args, **kwargs):
+            raise PermissionError(errno.EPERM, "injected")
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(parent)})
+        elif case == "no-sched-setaffinity":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        elif case == "unreadable-proc":
+            monkeypatch.setattr(simulate, "open", fails, raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", fails)
+        chunk = simulate._CHUNK_STEPS
+        with simulate._Streams(simulate._make_generators(3, 4), 10 * chunk,
+                               chunk, 2) as streams:
+            simulate._draw_chunk(streams)
+            assert getaffinity(streams.pid) == parent
+        for a, b in zip(pinned, run_lms(cfg, gains=gains)):
+            _assert_same(a, b)
+        assert getaffinity(0) == parent
+        _no_child_left()
 
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
