@@ -6,18 +6,17 @@ Five criteria are covered.  Two are certificate producing:
 * ``corollary2`` - the same inequality restricted to P = I, which reduces to
   the matrix pencil test lambda_max(a*M4 - 2*S) < 0.
 
-Both sups are generalized eigenvalue problems of the mean-square operator
-(``lmi.operator_matrices``) and the theorem1 rate at a fixed gain is read
-off the spectral radius of the mean-square map, so every certificate number
-comes from one small LAPACK eigendecomposition, with no search.  The
+Both sups are generalized eigenvalue problems on the ranges the model keeps
+(F^ on L^'s, M4 on S's), and the theorem1 rate at a fixed gain is read off
+rho(T^) on L^'s range from ``lmi.mean_square_map``, so every certificate
+number comes from one small LAPACK eigendecomposition, with no search.  The
 certificate itself comes from ``lmi.identity_certificate`` (corollary2) or
 ``lmi.solve_feasibility`` (theorem1), checked before it is returned.
 
 Three are classical literature rules, read off the model's spectrum of S:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
 ``zhu_criterion`` (2*lambda_min/lambda_max^2, inapplicable for singular S).
-One relative rule (``_range_mask``) decides singularity for the Zhu sup and
-bound and for the certificate routes alike.
+Singularity is read from the model's ranges or ``moments.range_mask``.
 
 The error bounds mirror the certificates: given (a, chi, P) the asymptotic
 mean-squared error is bounded by a*sigma_eps^2*tr(P S)/(chi*lambda_min(P))
@@ -36,13 +35,12 @@ import numpy as np
 
 from . import linalg, presets
 from .lmi import (GainCertificate, NonConvergence, RELAXED_TOL_DEFAULT,
-                  STRICT_MARGIN, identity_certificate, mean_square_map_matrix,
-                  operator_matrices, solve_feasibility)
-from .moments import MomentModel
+                  STRICT_MARGIN, identity_certificate, mean_square_map,
+                  pencil_max_eigenvalue, solve_feasibility)
+from .moments import MomentModel, UnsupportedOperator, range_mask
 
 TOL_A = 1e-5     # sup certificates are built at the gain sup*(1 - TOL_A)
 TOL_CHI = 1e-9   # their rate; with STRICT_MARGIN, the theorem1 rate back-off
-_SINGULAR_TOL = 1e-9  # relative: lambda <= _SINGULAR_TOL * lambda_max counts as 0
 
 
 class GainTooLarge(ValueError):
@@ -91,16 +89,6 @@ class ChiSearchResult:
     tolerance_limited: bool = False
 
 
-def pencil_max_eigenvalue(model: MomentModel, gain: float) -> float:
-    """lambda_max(a*M4 - 2*S): negative iff P = I certifies gain a (some chi > 0)."""
-    return float(np.linalg.eigvalsh(gain * model.m4 - 2.0 * model.second_moment)[-1])
-
-
-def _range_mask(values: np.ndarray) -> np.ndarray:
-    """Which ascending eigenvalues ``values`` of a PSD matrix span its range."""
-    return values > _SINGULAR_TOL * max(float(values[-1]), 0.0)
-
-
 def protocol_gain(sup_gain: float, xi: float = presets.XI) -> float:
     """Working gain derived from a published sup: quote at 4 decimals, back off xi.
 
@@ -114,13 +102,6 @@ def protocol_gain(sup_gain: float, xi: float = presets.XI) -> float:
     if a <= 0:
         raise GainTooLarge(f"sup gain {sup_gain} leaves no positive working gain")
     return a
-
-
-def _range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Eigenpairs of a PSD matrix on its range, and whether the matrix is singular."""
-    values, vectors = np.linalg.eigh(mat)
-    keep = _range_mask(values)
-    return values[keep], vectors[:, keep], not keep.all()
 
 
 def sup_gain(model: MomentModel, kind: CriterionKind,
@@ -149,22 +130,22 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
             return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
         return SupGainResult(kind, 2.0 / trace)
     if kind is CriterionKind.ZHU:
-        if not _range_mask(lam).all():
+        if len(model.second_moment_range.values) < model.dim:
             return SupGainResult(
                 kind, 0.0, inapplicable=True,
                 note="second moment is singular; criterion gives a zero gain")
         return SupGainResult(kind, 2.0 * float(lam[0]) / float(lam[-1])**2)
 
     if kind is CriterionKind.COROLLARY2:
-        scale, lhs, rhs = 2.0, model.m4, model.second_moment
+        scale, lhs, (values, vectors) = 2.0, model.m4, model.second_moment_range
     elif kind is CriterionKind.THEOREM1:
-        # Raises UnsupportedOperator for printed-moments models.
-        scale, (rhs, lhs) = 1.0, operator_matrices(model)
+        if model.f_hat is None:
+            raise UnsupportedOperator("a printed-moments model has no F^")
+        scale, lhs, (values, vectors) = 1.0, model.f_hat, model.l_hat_range
     else:
         raise ValueError(f"unhandled criterion {kind}")
 
-    values, vectors, singular = _range(rhs)
-    if values.size == 0 or (singular and mode == "strict"):
+    if values.size == 0 or (len(values) < len(lhs) and mode == "strict"):
         return SupGainResult(
             kind, 0.0, strictly_infeasible=True,
             note="no feasible gain: the drift inequality has no strictly "
@@ -222,15 +203,15 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     if kind is not CriterionKind.THEOREM1:
         raise ValueError(f"max chi is defined for certificate criteria, not {kind}")
 
-    _, vectors, singular = _range(operator_matrices(model)[0])
-    if singular and mode == "strict":
+    values, vectors = mean_square_map(model, gain)
+    frozen = len(values) < len(vectors)
+    if frozen and mode == "strict":
         raise GainTooLarge(
             f"gain {gain} has no strictly feasible rate: the second moment "
             f"is singular")
-    t_hat = mean_square_map_matrix(model, gain)
-    rho = float(np.linalg.eigvalsh(vectors.T @ t_hat @ vectors)[-1])
+    rho = float(values[-1])
     chi = (1.0 - rho) / gain - (TOL_CHI + STRICT_MARGIN)
-    if singular:
+    if frozen:
         chi = min(chi, RELAXED_TOL_DEFAULT * (1.0 - 1e-6))
     if chi <= 0:
         raise GainTooLarge(
@@ -280,7 +261,7 @@ def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
         return (gain / chi) * noise * float(np.trace(s))
     if kind is CriterionKind.ZHU:
         lam = linalg.eigh(s).values
-        if not _range_mask(lam).all():
+        if not range_mask(lam).all():
             return float("inf")
         return gain * noise * float(np.trace(s)) / (2.0 * float(lam[0]))
     raise ValueError(f"no error bound is defined for criterion {kind}")

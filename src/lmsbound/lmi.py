@@ -10,20 +10,22 @@ equivalently T(P) <= (1 - a*chi) P for the one-step mean-square map
 
 On the d = m(m+1)/2 dimensional space of symmetric matrices, with the
 orthonormal basis ``sym_basis`` as the rows of K, L(P) = S P + P S and F
-are d x d symmetric positive semidefinite matrices (``operator_matrices``):
-L^ = K (S kron I + I kron S) K^T and F^, the Gram matrix, both built once
-with the model.  T^ = I - a L^ + a^2 F^.  T is a positive map, so a positive
-definite P with T(P) < gamma P exists iff rho(T) < gamma
-(Collatz-Wielandt), and one eigendecomposition of T^ = V diag(lambda) V^T
-both decides the inequality and yields a certificate in closed form: with
-e the coordinates of I,
+are the PSD matrices L^ = K (S kron I + I kron S) K^T and F^ kept on the
+model, and T^ = I - a L^ + a^2 F^ (``mean_square_map_matrix``) is exactly
+the identity on L^'s null space, the frozen directions.  T is a positive
+map, so a positive definite P with T(P) < gamma P exists iff rho(T) < gamma
+(Collatz-Wielandt), and one eigendecomposition T^ = V diag(lambda) V^T on
+L^'s range (``mean_square_map``, the one place T^ is decomposed) decides it
+and yields a certificate in closed form: with e the coordinates of I on
+the range and I_0 its part on the frozen directions,
 
-    P = sum_i c_i V_i,   c_i = gamma e_i / (gamma - lambda_i)  if lambda_i < gamma,
-                         c_i = e_i                             otherwise,
+    P = I_0 + R / lambda_min(R),   R = sum_i c_i V_i,
+    c_i = gamma e_i / (gamma - lambda_i)  if lambda_i < gamma,  c_i = e_i  otherwise,
 
-which is the resolvent P = gamma (gamma - T)^{-1} I >= I when every
-eigenvalue contracts, and gives T(P) - gamma P = -gamma I on the contracting
-part and a*chi*I on the frozen directions.
+with lambda_min(R) on S's range, and R the resolvent gamma (gamma - T)^{-1} I
+>= I there when every eigenvalue contracts.  T(P) - gamma P is then
+-gamma I / lambda_min(R) on the contracting part and a*chi*I_0 on the
+frozen directions, and P is no worse conditioned than R.
 
 Two functions return a checked ``GainCertificate`` for (a, chi), or None:
 ``identity_certificate`` fixes P = I (corollary 2), and
@@ -31,9 +33,8 @@ Two functions return a checked ``GainCertificate`` for (a, chi), or None:
 identity when it certifies strictly, since it gives the tighter error
 bound, and then never forms T^; otherwise the resolvent replaces it when it
 does better.  Both use LAPACK (``numpy.linalg``) and never evaluate F(P):
-the identity slack is lambda_max(a M4 - 2 S + chi I), and the resolvent's
-drift matrix Q(P) = (T(P) - gamma P)/a is read off the eigendecomposition
-of T^.
+the identity slack is ``pencil_max_eigenvalue``, and the resolvent's drift
+matrix Q(P) = (T(P) - gamma P)/a is read off ``mean_square_map``.
 
 Certificates are verified from scratch: ``check_certificate`` forms Q(P)
 from the law (F(P), never F^) and proves eps I - Q(P) and P positive
@@ -41,11 +42,10 @@ definite by a shifted Cholesky that shares no state with the search.  Each
 certificate is checked at the tolerance it claims.
 
 Degenerate laws (singular S with regressors confined to a subspace) admit
-no strictly feasible point: T keeps a frozen unit eigenvalue along the
-untouched subspace.  The relaxed mode accepts certificates whose slack is
-within ``RELAXED_TOL_DEFAULT`` of zero and marks them ``tolerance_limited``,
-which reproduces what interior-point SDP solvers silently do on such
-problems.
+no strictly feasible point: T is the identity on the frozen directions.
+The relaxed mode accepts certificates whose slack is within
+``RELAXED_TOL_DEFAULT`` of zero and marks them ``tolerance_limited``, which
+reproduces what interior-point SDP solvers silently do on such problems.
 """
 
 from __future__ import annotations
@@ -106,38 +106,47 @@ def check_certificate(model: MomentModel, cert: GainCertificate,
                 "eps_feas": eps_feas, "rounding": rounding}
 
 
-def operator_matrices(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
-    """(L^, F^): L(P) = SP + PS and F on ``sym_basis``, both kept on the model."""
-    if model.f_hat is None:
-        raise UnsupportedOperator("a printed-moments model has no F^")
-    return model.l_hat, model.f_hat
+def pencil_max_eigenvalue(model: MomentModel, gain: float, rate: float = 0.0) -> float:
+    """lambda_max(a*M4 - 2*S + chi*I), the slack of P = I in both certificate
+    routes; at chi = 0 it is negative iff P = I certifies gain a (some chi > 0)."""
+    return float(np.linalg.eigvalsh(
+        gain * model.m4 - 2.0 * model.second_moment + rate * np.eye(model.dim))[-1])
 
 
 def mean_square_map_matrix(model: MomentModel, gain: float) -> np.ndarray:
     """Matrix of T(P) = P - a(SP + PS) + a^2 F(P) on the orthonormal symmetric basis."""
-    l_hat, f_hat = operator_matrices(model)
-    return np.eye(len(l_hat)) - gain * l_hat + gain * gain * f_hat
+    if model.f_hat is None:
+        raise UnsupportedOperator("a printed-moments model has no F^")
+    return np.eye(len(model.l_hat)) - gain * model.l_hat + gain * gain * model.f_hat
+
+
+def mean_square_map(model: MomentModel, gain: float) -> linalg.EigenDecomp:
+    """Eigenpairs of T^ on L^'s range, vectors as d-vectors on ``sym_basis``;
+    on L^'s null space, the frozen directions, T^ is exactly the identity."""
+    t_hat, w = mean_square_map_matrix(model, gain), model.l_hat_range.vectors
+    values, vectors = np.linalg.eigh(w.T @ t_hat @ w)
+    return linalg.EigenDecomp(values, w @ vectors)
 
 
 def _resolvent(model: MomentModel, gain: float,
                rate: float) -> tuple[Optional[np.ndarray], float]:
     """The closed-form certificate of the module docstring and its slack.
 
-    P is scaled to lambda_min = 1.  (None, inf) when it is not positive
-    definite, which happens only if some eigenvalue of T^ other than a
-    frozen one reaches gamma.
+    (None, inf) when R is not positive definite on S's range, which happens
+    only if some eigenvalue of T^ on L^'s range reaches gamma.
     """
-    m, gamma = model.dim, 1.0 - gain * rate
-    values, vectors = np.linalg.eigh(mean_square_map_matrix(model, gain))
+    m, gamma, w = model.dim, 1.0 - gain * rate, model.second_moment_range.vectors
+    values, vectors = mean_square_map(model, gain)
     k = sym_basis(m).reshape(-1, m * m)
     e = vectors[:m].sum(axis=0)   # the first m basis elements sum to I
+    frozen = np.eye(m) - (vectors @ e @ k).reshape(m, m)   # I's part on L^'s null space
     c = np.divide(gamma * e, gamma - values, out=e.copy(), where=values < gamma)
     p = (vectors @ c @ k).reshape(m, m)
-    p_min = float(np.linalg.eigvalsh(p)[0])
+    p_min = float(np.linalg.eigvalsh(w.T @ p @ w)[0])
     if p_min <= 0:
         return None, np.inf
-    q = (vectors @ ((values - gamma) * c) @ k).reshape(m, m) / (gain * p_min)
-    return p / p_min, float(np.linalg.eigvalsh(q)[-1])
+    q = (vectors @ ((values - gamma) * c) @ k).reshape(m, m) + (1.0 - gamma) * p_min * frozen
+    return p / p_min + frozen, float(np.linalg.eigvalsh(q)[-1]) / (gain * p_min)
 
 
 def _certify(model: MomentModel, gain: float, rate: float, mode: str,
@@ -165,9 +174,7 @@ def _certify(model: MomentModel, gain: float, rate: float, mode: str,
             return 0
         return 1 if mode == "relaxed" and slack <= RELAXED_TOL_DEFAULT else 2
 
-    p = np.eye(model.dim)
-    slack = float(np.linalg.eigvalsh(
-        gain * model.m4 - 2.0 * model.second_moment + rate * p)[-1])
+    p, slack = np.eye(model.dim), pencil_max_eigenvalue(model, gain, rate)
     if alternative is not None and grade(slack) > 0:
         p_alt, slack_alt = alternative(model, gain, rate)
         if grade(slack_alt) < grade(slack):

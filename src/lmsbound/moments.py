@@ -17,8 +17,12 @@ the result is repeatable to the bit: S and F^ = C^T C / n in one pass, and
 each F(P) = (H o w)^T H / n with w = rowsum((H P) o H) in another.  An
 explicit model carries printed matrices S and M4 = F(I) only: F^ and L^ are
 None and F(P) raises UnsupportedOperator unless P = I.  A law whose M4 or
-F^ overflows float64 is an input error (InvalidCovariance), raised before
-any warning is printed.
+F^ overflows float64, or whose M4 underflows to zero while S does not (every
+law has tr M4 >= (tr S)^2), is an input error (InvalidCovariance), raised
+before any warning is printed.  The singularity rule (``range_mask``) is
+defined here only.  Each model keeps the eigenpairs of S and L^ on their
+ranges; L^'s null space, the matrices on S's null space, holds the frozen
+directions, on which the mean-square map is exactly the identity.
 
 The certificate search reads S, M4 and F^ only; the certificate check
 evaluates F(P) from the law and never reads F^.
@@ -35,6 +39,7 @@ import numpy as np
 from . import linalg
 
 _PSD_TOL = 1e-9
+_SINGULAR_TOL = 1e-9  # relative: lambda <= _SINGULAR_TOL * lambda_max counts as 0
 # Rows per summation chunk; bounds the (chunk, m^2) feature array of the F^ pass.
 _CHUNK = 4096
 
@@ -121,10 +126,10 @@ class DataMatrix:
 class MomentModel:
     """Second moment plus fourth-moment operator for one regressor law.
 
-    ``fourth_operator``, ``f_hat`` and ``l_hat`` are None for printed-moments
-    models; ``sampling_cov`` is set when the law can be sampled (Gaussian
-    specs).  ``second_moment_eigenvalues``, ascending, are solved once by the
-    PSD check.
+    ``fourth_operator``, ``f_hat``, ``l_hat`` and ``l_hat_range`` are None for
+    printed-moments models; ``sampling_cov`` is set for Gaussian specs.  The
+    PSD check solves ``second_moment_eigenvalues`` (ascending) once, and the
+    eigenpairs of S and L^ on their ranges (``range_mask``) are kept with them.
     """
 
     second_moment: np.ndarray
@@ -134,7 +139,9 @@ class MomentModel:
     sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
     f_hat: Optional[np.ndarray] = field(default=None, repr=False)
     second_moment_eigenvalues: np.ndarray = field(init=False, repr=False)
+    second_moment_range: linalg.EigenDecomp = field(init=False, repr=False)
     l_hat: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    l_hat_range: Optional[linalg.EigenDecomp] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         s = linalg.symmetrize(self.second_moment)
@@ -142,14 +149,19 @@ class MomentModel:
         if s.shape != m4.shape:
             raise DimMismatch(
                 f"second moment {s.shape} and fourth moment {m4.shape} disagree")
-        self.second_moment = s
-        self.second_moment_eigenvalues = _psd_spectrum(s, "second moment")
-        self.m4 = m4
+        if s.any() and not m4.any():
+            raise InvalidCovariance("the fourth moment M4 is zero but the second "
+                                    "moment is not; rescale the regressors")
+        self.second_moment, self.m4 = s, m4
+        spectrum = _psd_spectrum(s, "second moment")
+        self.second_moment_eigenvalues = spectrum.values
+        self.second_moment_range = _range(*spectrum)
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)
             eye = np.eye(self.dim)
             k = sym_basis(self.dim).reshape(-1, s.size)
             self.l_hat = k @ (np.kron(s, eye) + np.kron(eye, s)) @ k.T
+            self.l_hat_range = _range(*np.linalg.eigh(self.l_hat))
 
     @property
     def dim(self) -> int:
@@ -190,13 +202,23 @@ def sym_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _psd_spectrum(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Ascending eigenvalues of a matrix that must be PSD to within _PSD_TOL
+def _psd_spectrum(matrix: np.ndarray, what: str) -> linalg.EigenDecomp:
+    """Eigenpairs of a matrix that must be PSD to within _PSD_TOL
     max(1, ||matrix||_F); ``linalg.eigh`` rejects an overflowing norm first."""
-    values = linalg.eigh(matrix).values
-    if values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(matrix))):
-        raise InvalidCovariance(f"{what} is not PSD (min eigenvalue {values[0]:.3g})")
-    return values
+    spectrum = linalg.eigh(matrix)
+    if spectrum.values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(matrix))):
+        raise InvalidCovariance(f"{what} is not PSD (min eigenvalue {spectrum.values[0]:.3g})")
+    return spectrum
+
+
+def range_mask(values: np.ndarray) -> np.ndarray:
+    """Which ascending eigenvalues ``values`` of a PSD matrix span its range."""
+    return values > _SINGULAR_TOL * max(float(values[-1]), 0.0)
+
+
+def _range(values: np.ndarray, vectors: np.ndarray) -> linalg.EigenDecomp:
+    keep = range_mask(values)
+    return linalg.EigenDecomp(values[keep], vectors[:, keep])
 
 
 def _require_finite(fourth_moments: dict) -> None:

@@ -22,7 +22,8 @@ from lmsbound.bounds import (
     sup_gain,
 )
 from lmsbound.moments import (GaussianSpec, UnsupportedOperator,
-                              explicit_moment_model, gaussian_moment_model)
+                              empirical_moment_model, explicit_moment_model,
+                              gaussian_moment_model)
 
 K = CriterionKind
 
@@ -380,6 +381,51 @@ class TestMaxChi:
         res = max_chi_search(model("1D"), K.THEOREM1, 0.3332)
         assert res.chi == pytest.approx(1e-5, abs=1e-6)
         assert res.tolerance_limited
+
+
+def rank_deficient_laws(count, seed):
+    """Seeded Gaussian and 400-row empirical laws, m = 2-6, rank 1 to m - 1,
+    scaled to tr S = m."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        m = 2 + n % 5
+        basis = rng.standard_normal((int(rng.integers(1, m)), m))
+        if n % 2:
+            rows = rng.standard_normal((400, len(basis))) @ basis
+            yield empirical_moment_model(rows * np.sqrt(m / np.trace(rows.T @ rows / 400)))
+        else:
+            cov = basis.T @ basis
+            yield gaussian_moment_model(cov * (m / np.trace(cov)))
+
+
+class TestFrozenDirections:
+    """Singular laws: the mean-square map is the identity on L^'s null space,
+    and the relaxed theorem1 certificates carry the rate there as slack."""
+
+    def test_duplicated_column_certifies_at_the_rate_cap(self):
+        rows = np.random.default_rng(4).standard_normal((200, 5))
+        rows[:, 4] = rows[:, 0]
+        law = empirical_moment_model(rows)
+        res = max_chi_search(law, K.THEOREM1, 0.2152)
+        assert res.chi == pytest.approx(9.99999e-06, rel=1e-12)
+        assert res.tolerance_limited
+        assert res.certificate.slack == pytest.approx(9.99999e-06, rel=1e-6)
+        assert lmi.check_certificate(law, res.certificate, lmi.RELAXED_TOL_DEFAULT)[0]
+
+    def test_singular_gaussian_sup_is_flagged(self):
+        a = np.random.default_rng(4).standard_normal((6, 5))
+        law = gaussian_moment_model(a @ a.T)
+        res = sup_gain(law, K.THEOREM1)
+        assert res.tolerance_limited
+        # The slack is the rate TOL_CHI on the frozen directions.
+        assert res.certificate.slack == pytest.approx(bounds.TOL_CHI, rel=1e-3)
+        assert sup_gain(law, K.THEOREM1, mode="strict").strictly_infeasible
+        assert sup_gain(law, K.COROLLARY2).tolerance_limited
+
+    def test_relaxed_rate_at_protocol_gain_is_always_flagged(self):
+        for n, law in enumerate(rank_deficient_laws(300, seed=0)):
+            gain = protocol_gain(sup_gain(law, K.THEOREM1).sup_gain)
+            assert max_chi_search(law, K.THEOREM1, gain).tolerance_limited, n
 
 
 class TestAsymptoticBound:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmsbound import cli
@@ -104,6 +104,23 @@ class TestSupgain:
             == pytest.approx(0.5, abs=1e-5)
 
 
+TEXT_TABLES = Path(__file__).with_name("text_tables.txt")
+
+
+class TestTextTables:
+    """The ``--format table`` output of supgain and errorbound on the bundled
+    models, pinned byte for byte in ``text_tables.txt``."""
+
+    CASES = [section.split("\n", 1)
+             for section in TEXT_TABLES.read_text().split("$ ")[1:]]
+
+    @pytest.mark.parametrize("args, expected", CASES, ids=[c[0] for c in CASES])
+    def test_output_is_unchanged(self, runner, args, expected):
+        res = run(runner, *args.split())
+        assert res.exit_code == 0
+        assert res.output == expected
+
+
 class TestModelResolution:
     def test_no_source_is_usage_error(self, runner):
         res = run(runner, "supgain")
@@ -151,6 +168,18 @@ class TestModelResolution:
         got = float(csv_rows(res.output)["widrow_trace"][0])
         emp = rows.T @ rows / len(rows)
         assert got == pytest.approx(2.0 / np.trace(emp), rel=1e-6)
+
+    def test_one_row_law_certifies_tolerance_limited(self, runner, tmp_path):
+        # A single row gives a singular law; both certificates hold only up to
+        # the relaxed slack tolerance, and say so.
+        path = tmp_path / "one.prn"
+        path.write_text("484.0 0.0 0.0\n")
+        res = run(runner, "supgain", "--data", str(path), "--recipe",
+                  "column(0), square(0)", "--format", "csv")
+        assert res.exit_code == 0
+        rows = csv_rows(res.output)
+        for kind in ("theorem1", "corollary2"):
+            assert rows[kind][3] == "tolerance-limited"
 
     def test_data_without_recipe(self, runner, tmp_path):
         path = tmp_path / "rows.prn"
@@ -560,6 +589,25 @@ class TestErrorContract:
         assert res.stderr.splitlines() == [
             "error: the fourth moment M4 overflows float64; rescale the regressors"]
 
+    # So is a law whose fourth moment is zero while its second moment is not:
+    # every law has tr M4 >= (tr S)^2, so only underflow (or a bad file) gives it.
+    @pytest.mark.parametrize("args, name, text", [
+        (("--sigma1", "1e-100", "--sigma2", "1e-100"), None, None),
+        (("--moments-file", "{path}"), "moments.prn", "1 0\n0 1\n0 0\n0 0\n"),
+        (("--data", "{path}", "--recipe", "product(1, 2)"), "rows.csv",
+         "2, -776.3119913799263, -1.9799803979776138e-126\n"),
+    ], ids=["gaussian", "moments-file", "data"])
+    def test_zero_fourth_moment_prints_one_line(self, runner, tmp_path, args, name,
+                                                text):
+        path = tmp_path / str(name)
+        if text is not None:
+            path.write_text(text)
+        res = run(runner, "supgain", *(arg.format(path=path) for arg in args))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: the fourth moment M4 is zero but the second moment is not; "
+            "rescale the regressors"]
+
     # A printed second moment whose Frobenius norm overflows float64 is an
     # input error, reported before numpy can print an overflow warning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -688,6 +736,9 @@ class TestIngestFuzz:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(inputs=ingest_inputs(), supgain=st.booleans())
+    # A fourth moment that underflows to zero.
+    @example(inputs=(".csv", "2, -776.3119913799263, -1.9799803979776138e-126\n",
+                     "product(1, 2)", None), supgain=True)
     def test_exit_code_and_no_traceback(self, inputs, supgain):
         suffix, text, recipe, response = inputs
         with tempfile.TemporaryDirectory() as tmp:

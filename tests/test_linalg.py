@@ -152,7 +152,7 @@ class TestIsPsd:
             moments._psd_spectrum(np.diag([1.0, -0.5]), "covariance")
 
     def test_tolerance_admits_noise(self):
-        values = moments._psd_spectrum(np.diag([1.0, -1e-14]), "covariance")
+        values = moments._psd_spectrum(np.diag([1.0, -1e-14]), "covariance").values
         assert values[0] == -1e-14
 
 

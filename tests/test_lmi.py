@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lmsbound import bounds, linalg, lmi, presets
 from lmsbound.moments import empirical_moment_model, gaussian_moment_model
@@ -93,13 +96,13 @@ class TestOperatorMatrices:
         for m in range(1, 10)])
     def test_matches_d_call_reference(self, kind, m):
         model = random_law(kind, m)
-        for got, want in zip(lmi.operator_matrices(model),
+        for got, want in zip((model.l_hat, model.f_hat),
                              reference_operator_matrices(model)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["gaussian", "empirical", "empirical-singular"])
     def test_f_hat_is_symmetric_psd(self, kind):
-        f_hat = lmi.operator_matrices(random_law(kind, 4))[1]
+        f_hat = random_law(kind, 4).f_hat
         assert np.array_equal(f_hat, f_hat.T)
         values = np.linalg.eigvalsh(f_hat)
         assert values[0] >= -1e-12 * values[-1]
@@ -142,6 +145,49 @@ class TestMeanSquareMap:
         s = model.second_moment
         image = p_hat - a * (s @ p_hat + p_hat @ s) + a * a * model.fourth_moment(p_hat)
         assert np.allclose(image, rho * p_hat, atol=1e-9)
+
+
+@st.composite
+def laws_with_null_space(draw):
+    """A Gaussian or 200-row empirical law, m = 1-5, full or low rank, and an
+    orthonormal basis of its second moment's null space."""
+    m = draw(st.integers(1, 5))
+    spectrum = draw(arrays(float, m, elements=st.floats(0.2, 5.0)))
+    spectrum[:draw(st.integers(0, m - 1))] = 0.0
+    q, _ = np.linalg.qr(draw(arrays(float, (m, m), elements=st.floats(-1.0, 1.0)))
+                        + 3.0 * np.eye(m))
+    if draw(st.booleans()):
+        law = gaussian_moment_model((q * spectrum) @ q.T)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        law = empirical_moment_model(rng.standard_normal((200, m)) * spectrum @ q.T)
+    return law, q[:, spectrum == 0.0]
+
+
+class TestMeanSquareMapSpectrum:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(laws_with_null_space(), st.floats(0.01, 0.5))
+    def test_eigenpairs_on_the_range_of_l_hat(self, law_and_null, gain):
+        law, null = law_and_null
+        t_hat = lmi.mean_square_map_matrix(law, gain)
+        values, vectors = lmi.mean_square_map(law, gain)
+        d, f = len(t_hat), null.shape[1]
+        assert vectors.shape == (d, d - f * (f + 1) // 2)
+        assert np.abs(t_hat @ vectors - vectors * values).max() <= 1e-12 * max(
+            1.0, np.abs(t_hat).max())
+        assert np.allclose(vectors.T @ vectors, np.eye(len(values)), atol=1e-12)
+        # L^'s null space: the symmetric matrices on S's null space.
+        k = lmi.sym_basis(law.dim).reshape(d, -1)
+        frozen = [k @ (np.outer(u, v) + np.outer(v, u)).ravel()
+                  for i, u in enumerate(null.T) for v in null.T[i:]]
+        if frozen:
+            assert np.abs(np.array(frozen) @ vectors).max() <= 1e-9
+        # The top value is the spectral radius on the range, as an eigvalsh of
+        # T^ restricted to L^'s range gives it.
+        l_values, l_vectors = np.linalg.eigh(law.l_hat)
+        w = l_vectors[:, l_values > 1e-9 * l_values[-1]]
+        assert values[-1] == pytest.approx(np.linalg.eigvalsh(w.T @ t_hat @ w)[-1],
+                                           abs=1e-12)
 
 
 class TestProblemValidation:
