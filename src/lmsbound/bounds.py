@@ -16,11 +16,14 @@ certificate itself comes from ``lmi.identity_certificate`` (corollary2) or
 Three are classical literature rules, read off the model's spectrum of S:
 ``widrow_lambda_max`` (2/lambda_max), ``widrow_trace`` (2/tr) and
 ``zhu_criterion`` (2*lambda_min/lambda_max^2, inapplicable for singular S).
-Singularity is read from the model's ranges or ``moments.range_mask``.
+Singularity is read from the model's ranges or ``moments.range_mask``; the
+model has already rejected a zero S and an M4 that vanishes on S's range,
+and ``lmi.grade`` decides what a slack is worth under each mode.
 
-The error bounds mirror the certificates: given (a, chi, P) the asymptotic
-mean-squared error is bounded by a*sigma_eps^2*tr(P S)/(chi*lambda_min(P))
-and the finite-horizon bound interpolates geometrically from the initial
+The error bounds mirror the certificates: one term, a*sigma_eps^2*tr(P S)/
+(chi*lambda_min(P)), bounds the steady state for any certificate (a, chi, P)
+(corollary2 is P = I, zhu is P = I with chi = 2*lambda_min(S)), and the
+finite-horizon bound interpolates geometrically to it from the initial
 error energy.  A rate of chi = 0 (degenerate laws under the relaxed mode)
 yields an infinite bound, reported as such rather than raising.
 """
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import linalg, presets
 from .lmi import (GainCertificate, NonConvergence, RELAXED_TOL_DEFAULT,
-                  STRICT_MARGIN, identity_certificate, mean_square_map,
+                  STRICT_MARGIN, grade, identity_certificate, mean_square_map,
                   pencil_max_eigenvalue, solve_feasibility)
 from .moments import MomentModel, UnsupportedOperator, range_mask
 
@@ -119,16 +122,13 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     The certificate is built at the gain sup*(1 - TOL_A); where none passes
     the mode's slack test there, the sup is returned with a note saying so.
     """
-    lam, trace = model.second_moment_eigenvalues, float(np.trace(model.second_moment))
+    strict = grade(0.0, mode) == 2   # a zero slack fails; rejects an unknown mode
+    lam = model.second_moment_eigenvalues
 
     if kind is CriterionKind.WIDROW_LAMBDA_MAX:
-        if lam[-1] <= 0:
-            return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
         return SupGainResult(kind, 2.0 / float(lam[-1]))
     if kind is CriterionKind.WIDROW_TRACE:
-        if trace <= 0:
-            return SupGainResult(kind, 0.0, inapplicable=True, note="zero second moment")
-        return SupGainResult(kind, 2.0 / trace)
+        return SupGainResult(kind, 2.0 / float(np.trace(model.second_moment)))
     if kind is CriterionKind.ZHU:
         if len(model.second_moment_range.values) < model.dim:
             return SupGainResult(
@@ -145,12 +145,11 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     else:
         raise ValueError(f"unhandled criterion {kind}")
 
-    if values.size == 0 or (len(values) < len(lhs) and mode == "strict"):
+    if len(values) < len(lhs) and strict:
         return SupGainResult(
             kind, 0.0, strictly_infeasible=True,
             note="no feasible gain: the drift inequality has no strictly "
-                 "feasible point (singular second moment)" if mode == "strict"
-            else "no feasible gain found")
+                 "feasible point (singular second moment)")
     w = vectors / np.sqrt(values)
     sup = scale / float(np.linalg.eigvalsh(w.T @ lhs @ w)[-1])
 
@@ -182,30 +181,24 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     """
     if not (gain > 0 and np.isfinite(gain)):
         raise GainTooLarge(f"gain must be positive and finite, got {gain}")
-    identity = np.eye(model.dim)
+    strict = grade(0.0, mode) == 2   # a zero slack fails; rejects an unknown mode
 
     if kind is CriterionKind.COROLLARY2:
         phi = pencil_max_eigenvalue(model, gain)
-        if mode == "strict":
-            if phi >= -STRICT_MARGIN:
-                raise GainTooLarge(
-                    f"gain {gain} is not strictly feasible for corollary2 "
-                    f"(pencil eigenvalue {phi:.3g})")
-            return ChiSearchResult(-phi, identity, None)
-        if phi > RELAXED_TOL_DEFAULT:
-            raise GainTooLarge(
-                f"gain {gain} is beyond the corollary2 range "
-                f"(pencil eigenvalue {phi:.3g})")
-        chi = max(0.0, -phi)
-        return ChiSearchResult(chi, identity, None,
-                               tolerance_limited=chi <= STRICT_MARGIN)
+        level = grade(phi, mode)
+        if level == 2:
+            raise GainTooLarge(f"gain {gain} is " + (
+                "not strictly feasible for corollary2" if strict else
+                "beyond the corollary2 range") + f" (pencil eigenvalue {phi:.3g})")
+        return ChiSearchResult(max(0.0, -phi), np.eye(model.dim), None,
+                               tolerance_limited=level == 1)
 
     if kind is not CriterionKind.THEOREM1:
         raise ValueError(f"max chi is defined for certificate criteria, not {kind}")
 
     values, vectors = mean_square_map(model, gain)
     frozen = len(values) < len(vectors)
-    if frozen and mode == "strict":
+    if frozen and strict:
         raise GainTooLarge(
             f"gain {gain} has no strictly feasible rate: the second moment "
             f"is singular")
@@ -224,47 +217,39 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
                            tolerance_limited=cert.tolerance_limited)
 
 
-def _check_noise_level(sigma_eps: float) -> None:
+def _steady_state(gain: float, chi: float, p_matrix: Optional[np.ndarray],
+                  second_moment: np.ndarray, sigma_eps: float) -> tuple[float, float]:
+    """a*sigma^2*tr(P S)/(chi*lambda_min(P)), +inf where the denominator is not
+    positive, and lambda_min(P); P = None is I, with lambda_min 1 and no eigensolve."""
     if not (sigma_eps >= 0 and np.isfinite(sigma_eps)):
         raise ValueError(f"sigma_eps must be finite and nonnegative, got {sigma_eps}")
+    s = linalg.symmetrize(second_moment)
+    p_min, trace = 1.0, float(np.trace(s))
+    if p_matrix is not None:
+        p = linalg.symmetrize(p_matrix)
+        p_min, trace = float(linalg.eigh(p).values[0]), float(np.trace(p @ s))
+    denom = chi * p_min
+    bound = gain * (sigma_eps * sigma_eps) * trace / denom if denom > 0 else float("inf")
+    return bound, p_min
 
 
 def asymptotic_bound(kind: CriterionKind, gain: float, chi: Optional[float],
                      p_matrix: Optional[np.ndarray], second_moment: np.ndarray,
                      sigma_eps: float) -> float:
-    """Steady-state upper bound on E||theta_err||^2 for a certified gain.
-
-    theorem1:   a*sigma^2*tr(P S)/(chi*lambda_min(P))
-    corollary2: (a/chi)*sigma^2*tr(S)
-    zhu:        a*sigma^2*tr(S)/(2*lambda_min(S))
-
-    Returns +inf when the relevant denominator vanishes (chi = 0 for the
-    certificate criteria, singular S for zhu).
-    """
-    _check_noise_level(sigma_eps)
-    s = linalg.symmetrize(second_moment)
-    noise = sigma_eps * sigma_eps
-    if kind is CriterionKind.THEOREM1:
-        if chi is None or p_matrix is None:
-            raise ValueError("theorem1 bound needs chi and P")
-        p = linalg.symmetrize(p_matrix)
-        p_min = float(linalg.eigh(p).values[0])
-        denom = chi * p_min
-        if denom <= 0:
-            return float("inf")
-        return gain * noise * float(np.trace(p @ s)) / denom
-    if kind is CriterionKind.COROLLARY2:
-        if chi is None:
-            raise ValueError("corollary2 bound needs chi")
-        if chi <= 0:
-            return float("inf")
-        return (gain / chi) * noise * float(np.trace(s))
+    """Steady-state upper bound on E||theta_err||^2 for a certified gain: the
+    paper's a*sigma^2*tr(P S)/(chi*lambda_min(P)) for theorem1, at P = I for
+    corollary2, and at P = I, chi = 2*lambda_min(S) for zhu; +inf when chi = 0
+    (certificate criteria) or S is singular (zhu)."""
     if kind is CriterionKind.ZHU:
-        lam = linalg.eigh(s).values
-        if not range_mask(lam).all():
-            return float("inf")
-        return gain * noise * float(np.trace(s)) / (2.0 * float(lam[0]))
-    raise ValueError(f"no error bound is defined for criterion {kind}")
+        lam = linalg.eigh(linalg.symmetrize(second_moment)).values
+        chi = 2.0 * float(lam[0]) if range_mask(lam).all() else 0.0
+    elif kind not in CERTIFICATE_KINDS:
+        raise ValueError(f"no error bound is defined for criterion {kind}")
+    elif chi is None or (kind is CriterionKind.THEOREM1 and p_matrix is None):
+        raise ValueError(f"{kind.value} bound needs chi"
+                         + (" and P" if kind is CriterionKind.THEOREM1 else ""))
+    p = p_matrix if kind is CriterionKind.THEOREM1 else None
+    return _steady_state(gain, chi, p, second_moment, sigma_eps)[0]
 
 
 def finite_k_bound(gain: float, chi: float, p_matrix: np.ndarray,
@@ -277,19 +262,14 @@ def finite_k_bound(gain: float, chi: float, p_matrix: np.ndarray,
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    _check_noise_level(sigma_eps)
     rate = gain * chi
     if not 0.0 < rate < 2.0:
         raise InvalidRate(f"a*chi must lie in (0, 2), got {rate:.6g}")
-    p = linalg.symmetrize(p_matrix)
-    p_min = float(linalg.eigh(p).values[0])
+    steady, p_min = _steady_state(gain, chi, p_matrix, second_moment, sigma_eps)
     if p_min <= 0:
         raise ValueError("P must be positive definite")
-    s = linalg.symmetrize(second_moment)
     contraction = (1.0 - rate) ** k
-    inject = gain * sigma_eps * sigma_eps * float(np.trace(p @ s))
-    return (contraction * initial_v / p_min
-            + (1.0 - contraction) * inject / (chi * p_min))
+    return contraction * initial_v / p_min + (1.0 - contraction) * steady
 
 
 def initial_error_second_moment(theta_star: np.ndarray,

@@ -46,6 +46,8 @@ no strictly feasible point: T is the identity on the frozen directions.
 The relaxed mode accepts certificates whose slack is within
 ``RELAXED_TOL_DEFAULT`` of zero and marks them ``tolerance_limited``, which
 reproduces what interior-point SDP solvers silently do on such problems.
+``grade`` is the one place a slack is graded under a mode, and the one
+place an unknown mode is rejected.
 """
 
 from __future__ import annotations
@@ -149,42 +151,44 @@ def _resolvent(model: MomentModel, gain: float,
     return p / p_min + frozen, float(np.linalg.eigvalsh(q)[-1]) / (gain * p_min)
 
 
+def grade(slack: float, mode: str) -> int:
+    """How a certificate's slack fares under ``mode``: 0 strict (slack at most
+    -STRICT_MARGIN), 1 tolerance-limited ("relaxed" only, slack at most
+    RELAXED_TOL_DEFAULT), 2 refused.  Raises ValueError for an unknown mode."""
+    if mode not in ("strict", "relaxed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if slack <= -STRICT_MARGIN:
+        return 0
+    return 1 if mode == "relaxed" and slack <= RELAXED_TOL_DEFAULT else 2
+
+
 def _certify(model: MomentModel, gain: float, rate: float, mode: str,
              alternative: Optional[Callable] = None) -> Optional[GainCertificate]:
     """The checked certificate for (a, chi): P = I, or ``alternative``'s P.
 
     ``alternative(model, gain, rate)`` gives a (P, slack) pair and is asked
     only when the identity does not certify strictly; its P replaces the
-    identity when it grades better (strict where the identity is only
-    tolerance-limited, feasible where the identity fails).  None when
-    neither certifies at the mode's slack target.  The certificate passes
-    ``check_certificate`` at the tolerance it claims: ``RELAXED_TOL_DEFAULT``
-    when tolerance-limited, ``EPS_FEAS_DEFAULT`` otherwise.
+    identity when it ``grade``s better.  None when neither certifies under
+    the mode.  The certificate passes ``check_certificate`` at the tolerance
+    it claims: ``RELAXED_TOL_DEFAULT`` if tolerance-limited, else ``EPS_FEAS_DEFAULT``.
     """
     if not (gain > 0 and np.isfinite(gain)):
         raise ValueError(f"gain must be positive and finite, got {gain}")
     if not (0.0 < rate < 2.0 / gain):
         raise ValueError(f"rate must lie in (0, 2/gain) = (0, {2.0 / gain:.6g}), "
                          f"got {rate}")
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def grade(slack: float) -> int:
-        if slack <= -STRICT_MARGIN:
-            return 0
-        return 1 if mode == "relaxed" and slack <= RELAXED_TOL_DEFAULT else 2
 
     p, slack = np.eye(model.dim), pencil_max_eigenvalue(model, gain, rate)
-    if alternative is not None and grade(slack) > 0:
+    if alternative is not None and grade(slack, mode) > 0:
         p_alt, slack_alt = alternative(model, gain, rate)
-        if grade(slack_alt) < grade(slack):
+        if grade(slack_alt, mode) < grade(slack, mode):
             p, slack = p_alt, slack_alt
-    if grade(slack) == 2:
+    if grade(slack, mode) == 2:
         return None
     certificate = GainCertificate(
         gain=gain, rate=rate, p_matrix=p, slack=slack,
         p_min_eigenvalue=float(np.linalg.eigvalsh(p)[0]),
-        tolerance_limited=grade(slack) == 1)
+        tolerance_limited=grade(slack, mode) == 1)
     ok, diag = check_certificate(model, certificate, RELAXED_TOL_DEFAULT
                                  if certificate.tolerance_limited else EPS_FEAS_DEFAULT)
     if not ok:

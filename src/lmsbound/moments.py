@@ -17,12 +17,14 @@ the result is repeatable to the bit: S and F^ = C^T C / n in one pass, and
 each F(P) = (H o w)^T H / n with w = rowsum((H P) o H) in another.  An
 explicit model carries printed matrices S and M4 = F(I) only: F^ and L^ are
 None and F(P) raises UnsupportedOperator unless P = I.  A law whose M4 or
-F^ overflows float64, or whose M4 underflows to zero while S does not (every
-law has tr M4 >= (tr S)^2), is an input error (InvalidCovariance), raised
-before any warning is printed.  The singularity rule (``range_mask``) is
-defined here only.  Each model keeps the eigenpairs of S and L^ on their
-ranges; L^'s null space, the matrices on S's null space, holds the frozen
-directions, on which the mean-square map is exactly the identity.
+F^ overflows float64 is an input error (InvalidCovariance), raised before
+any warning is printed, and ``MomentModel`` is the one place that rejects
+moments no regressor law has: a zero S, and an M4 that is zero, or zero on
+S's range W (every law has u^T M4 u >= E(u^T h)^4 / ||u||^2 > 0 there, so
+tr(W^T M4 W) > 0).  The singularity rule (``range_mask``) is defined here
+only.  Each model keeps the eigenpairs of S and L^ on their ranges; L^'s
+null space, the matrices on S's null space, holds the frozen directions,
+on which the mean-square map is exactly the identity.
 
 The certificate search reads S, M4 and F^ only; the certificate check
 evaluates F(P) from the law and never reads F^.
@@ -156,6 +158,12 @@ class MomentModel:
         spectrum = _psd_spectrum(s, "second moment")
         self.second_moment_eigenvalues = spectrum.values
         self.second_moment_range = _range(*spectrum)
+        if np.trace(s) <= 0:
+            raise InvalidCovariance("the second moment is zero; there is no gain to certify")
+        w = self.second_moment_range.vectors
+        if np.trace(w.T @ m4 @ w) <= 0:
+            raise InvalidCovariance("the fourth moment M4 is zero on the range of the "
+                                    "second moment; no regressor law has such moments")
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)
             eye = np.eye(self.dim)

@@ -235,22 +235,20 @@ def working_gain_simulations(
                 gains[kind] = protocol_gain(result.sup_gain)
             except GainTooLarge:
                 continue
-        # Criteria often share a working gain; each distinct one runs once.
-        distinct: dict[float, float] = {}
-        for gain in gains.values():
-            distinct.setdefault(round(gain, 12), gain)
-        if not distinct:
+        # Criteria often share a working gain, bit for bit (round(sup, 4) - xi);
+        # each distinct one runs once.
+        batch_gains = list(dict.fromkeys(gains.values()))
+        if not batch_gains:
             continue
-        batch_gains = list(distinct.values())
         batch = run_lms(SimConfig(
             model=model, theta_star=presets.protocol_theta_star(model.dim),
             gain=batch_gains[0], sigma_eps=presets.SIGMA_EPS, k_max=k_max,
             replications=replications, master_seed=master_seed,
             init=presets.protocol_init(master_seed, model.dim)),
             gains=batch_gains)
-        by_gain = dict(zip(distinct, batch))
+        by_gain = dict(zip(batch_gains, batch))
         for kind, gain in gains.items():
-            out[(name, kind)] = by_gain[round(gain, 12)]
+            out[(name, kind)] = by_gain[gain]
     return out
 
 

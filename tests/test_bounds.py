@@ -46,6 +46,24 @@ class TestCriterionKind:
             K.from_name("widrow")
 
 
+class TestModes:
+    # Every entry that takes a mode grades through lmi.grade, which rejects an
+    # unknown one, even where the mode would not change the answer.
+    @pytest.mark.parametrize("call", [
+        *[lambda mode, kind=kind: sup_gain(model("1A"), kind, mode=mode) for kind in K],
+        *[lambda mode, kind=kind: max_chi_search(model("1D"), kind, 0.3, mode=mode)
+          for kind in CERTIFICATE_KINDS],
+        lambda mode: lmi.identity_certificate(model("1A"), 0.1, 0.1, mode=mode),
+        lambda mode: lmi.solve_feasibility(model("1A"), 0.1, 0.1, mode=mode),
+    ], ids=[*(f"sup_gain-{kind.value}" for kind in K),
+            *(f"max_chi_search-{kind.value}" for kind in CERTIFICATE_KINDS),
+            "identity_certificate", "solve_feasibility"])
+    def test_unknown_mode_is_rejected(self, call):
+        call("relaxed")
+        with pytest.raises(ValueError, match="unknown mode 'strct'"):
+            call("strct")
+
+
 class TestLiteratureSups:
     # closed forms: 2/lambda_max, 2/trace, 2*lambda_min/lambda_max^2
     @pytest.mark.parametrize("name,expected", [

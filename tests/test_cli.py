@@ -608,6 +608,36 @@ class TestErrorContract:
             "error: the fourth moment M4 is zero but the second moment is not; "
             "rescale the regressors"]
 
+    # A zero second moment (an all-zero table), and a printed fourth moment
+    # that is zero on the second moment's range, describe no regressor law:
+    # every command that reads them exits 2 with one line.
+    @pytest.mark.parametrize("args", [
+        ("errorbound", "--gain", "0.1"), ("errorbound",), ("supgain",),
+        ("simulate", "--gain", "0.1", "--iters", "5", "--reps", "2")],
+        ids=["errorbound-gain", "errorbound", "supgain", "simulate"])
+    @pytest.mark.parametrize("source, text, message", [
+        (("--data", "{path}", "--recipe", "column(0), column(1)"), "0,0\n0,0\n",
+         "the second moment is zero; there is no gain to certify"),
+        (("--moments-file", "{path}"), "1,0\n0,0\n0,0\n0,1\n",
+         "the fourth moment M4 is zero on the range of the second moment; "
+         "no regressor law has such moments")], ids=["zero-table", "m4-off-range"])
+    def test_moments_of_no_law_print_one_line(self, runner, tmp_path, args, source,
+                                              text, message):
+        path = tmp_path / "law.csv"
+        path.write_text(text)
+        res = run(runner, *args, *(arg.format(path=path) for arg in source))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [f"error: {message}"]
+
+    def test_zero_table_is_an_ingest_error(self, runner, tmp_path):
+        path = tmp_path / "zero.prn"
+        path.write_text("0 0\n0 0\n")
+        res = run(runner, "ingest-check", "--data", str(path),
+                  "--recipe", "column(0), column(1)")
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: the second moment is zero; there is no gain to certify"]
+
     # A printed second moment whose Frobenius norm overflows float64 is an
     # input error, reported before numpy can print an overflow warning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -739,6 +769,9 @@ class TestIngestFuzz:
     # A fourth moment that underflows to zero.
     @example(inputs=(".csv", "2, -776.3119913799263, -1.9799803979776138e-126\n",
                      "product(1, 2)", None), supgain=True)
+    # An all-zero table: a zero second moment.
+    @example(inputs=(".prn", "0 0\n0 0\n", "column(0), column(1)", None), supgain=True)
+    @example(inputs=(".prn", "0 0\n0 0\n", "column(0), column(1)", None), supgain=False)
     def test_exit_code_and_no_traceback(self, inputs, supgain):
         suffix, text, recipe, response = inputs
         with tempfile.TemporaryDirectory() as tmp:

@@ -213,6 +213,16 @@ class TestProblemValidation:
                 certify(model, 0.1, 0.1, mode="loose")
 
 
+class TestGrade:
+    @pytest.mark.parametrize("slack, strict, relaxed", [
+        (-1.0, 0, 0), (-lmi.STRICT_MARGIN, 0, 0), (-lmi.STRICT_MARGIN / 2, 2, 1),
+        (0.0, 2, 1), (lmi.RELAXED_TOL_DEFAULT, 2, 1), (2 * lmi.RELAXED_TOL_DEFAULT, 2, 2),
+        (float("inf"), 2, 2)])
+    def test_levels(self, slack, strict, relaxed):
+        assert lmi.grade(slack, "strict") == strict
+        assert lmi.grade(slack, "relaxed") == relaxed
+
+
 def identity_slack(model, a, chi):
     q = a * model.m4 - 2.0 * model.second_moment + chi * np.eye(model.dim)
     return float(np.linalg.eigvalsh(q)[-1])

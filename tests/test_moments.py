@@ -178,6 +178,25 @@ class TestMomentModelValidation:
     def test_dim_property(self):
         assert gaussian_moment_model(np.eye(4)).dim == 4
 
+    # A zero S, and an M4 that is zero on S's range, are moments of no law:
+    # every law has u'M4u >= E(u'h)^4/|u|^2 > 0 on the range.
+    @pytest.mark.parametrize("build", [
+        lambda: gaussian_moment_model(np.zeros((2, 2))),
+        lambda: empirical_moment_model(np.zeros((3, 2))),
+        lambda: explicit_moment_model(np.zeros((2, 2)), np.eye(2)),
+    ], ids=["gaussian", "empirical", "explicit"])
+    def test_rejects_zero_second_moment(self, build):
+        with pytest.raises(InvalidCovariance, match="second moment is zero"):
+            build()
+
+    @pytest.mark.parametrize("s, m4", [
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        (np.full((2, 2), 0.5), np.array([[1.0, -1.0], [-1.0, 1.0]])),
+    ], ids=["axis", "diagonal"])
+    def test_rejects_fourth_moment_off_the_range(self, s, m4):
+        with pytest.raises(InvalidCovariance, match="zero on the range"):
+            explicit_moment_model(s, m4)
+
     def test_wrong_p_shape(self):
         model = gaussian_moment_model(np.eye(2))
         with pytest.raises(DimMismatch):
