@@ -5,42 +5,41 @@ moment S = E[h h^T], the linear operator F(P) = E[(h^T P h) h h^T], and
 ``f_hat``, the matrix F^ of F on the orthonormal symmetric basis
 ``sym_basis`` B_1..B_d (d = m(m+1)/2).  With c_i = h^T B_i h,
 <B_i, F(B_j)> = E[c_i c_j], so F^ = E[c c^T] is a positive semidefinite
-Gram matrix, built once with the model, in any dimension.  Next to it the
-model keeps ``l_hat``, the matrix L^ = K (S kron I + I kron S) K^T of
-L(P) = S P + P S on the same basis.
+Gram matrix, built once with the model, in any dimension.  The certificate
+search reads S, M4 and F^ only; the certificate check evaluates F(P) from
+the law and never reads F^.  Next to F^ the model keeps ``l_hat``, the
+matrix L^ = K (S kron I + I kron S) K^T of L(P) = S P + P S on that basis.
 
-For zero-mean Gaussian regressors (Isserlis' theorem, symmetric P)
-F(P) = 2 S P S + S tr(P S) and F^ = 2 K (S kron S) K^T + k k^T, where K
-stacks the vec(B_i) as rows and k = K vec(S).  An empirical model reduces
-its rows H in a fixed chunk order with compensated (Kahan) summation, so
-the result is repeatable to the bit: S and F^ = C^T C / n in one pass, and
-each F(P) = (H o w)^T H / n with w = rowsum((H P) o H) in another.  An
-explicit model carries printed matrices S and M4 = F(I) only: F^ and L^ are
-None and F(P) raises UnsupportedOperator unless P = I.  A law whose M4 or
-F^ overflows float64 is an input error (InvalidCovariance), raised before
-any warning is printed, and ``MomentModel`` is the one place that rejects
-moments no regressor law has: a zero S, and an M4 that is zero, or zero on
-S's range W (every law has u^T M4 u >= E(u^T h)^4 / ||u||^2 > 0 there, so
-tr(W^T M4 W) > 0).  The singularity rule (``range_mask``) is defined here
-only.  Each model keeps the eigenpairs of S and L^ on their ranges; L^'s
-null space, the matrices on S's null space, holds the frozen directions,
-on which the mean-square map is exactly the identity.
-
-The certificate search reads S, M4 and F^ only; the certificate check
-evaluates F(P) from the law and never reads F^.
+Each model keeps its ``law``, the ``GaussianSpec`` or ``DataMatrix`` it was
+built from (None for printed S and M4 = F(I)), and reads F(P), samplability
+and the printed-moments rule from it.  For zero-mean Gaussian regressors
+(Isserlis' theorem, symmetric P) F(P) = 2 S P S + S tr(P S) and
+F^ = 2 K (S kron S) K^T + k k^T, where K stacks the vec(B_i) as rows and
+k = K vec(S).  An empirical model reduces its rows H in a fixed chunk order
+with compensated (Kahan) summation, so the result is repeatable to the bit:
+S and F^ = C^T C / n in one pass, and each F(P) = (H o w)^T H / n with
+w = rowsum((H P) o H) in another.  With no law, F^ and L^ are None, M4 must
+be PSD, and F(P) raises UnsupportedOperator unless P = I.  A law whose M4
+or F^ overflows float64 is an input error (InvalidCovariance), raised
+before any warning is printed, and ``MomentModel`` is the one place that
+rejects moments no regressor law has: a zero S, and an M4 that is zero, or
+zero on S's range W (every law has u^T M4 u >= E(u^T h)^4 / ||u||^2 > 0
+there, so tr(W^T M4 W) > 0).  The singularity rule (``range_mask``) is
+defined here only.  Each model keeps the eigenpairs of S and L^ on their
+ranges; L^'s null space, the matrices on S's null space, holds the frozen
+directions, on which the mean-square map is exactly the identity.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
 
-_PSD_TOL = 1e-9
 _SINGULAR_TOL = 1e-9  # relative: lambda <= _SINGULAR_TOL * lambda_max counts as 0
 # Rows per summation chunk; bounds the (chunk, m^2) feature array of the F^ pass.
 _CHUNK = 4096
@@ -128,17 +127,15 @@ class DataMatrix:
 class MomentModel:
     """Second moment plus fourth-moment operator for one regressor law.
 
-    ``fourth_operator``, ``f_hat``, ``l_hat`` and ``l_hat_range`` are None for
-    printed-moments models; ``sampling_cov`` is set for Gaussian specs.  The
-    PSD check solves ``second_moment_eigenvalues`` (ascending) once, and the
-    eigenpairs of S and L^ on their ranges (``range_mask``) are kept with them.
+    ``law`` is the ``GaussianSpec`` or ``DataMatrix`` the model was built
+    from; for printed moments it, ``f_hat``, ``l_hat`` and ``l_hat_range``
+    are None.  The PSD check solves ``second_moment_eigenvalues`` (ascending)
+    once, and keeps the eigenpairs of S and L^ on their ranges with them.
     """
 
     second_moment: np.ndarray
     m4: np.ndarray
-    fourth_operator: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False)
-    sampling_cov: Optional[np.ndarray] = field(default=None, repr=False)
+    law: GaussianSpec | DataMatrix | None = field(default=None, repr=False)
     f_hat: Optional[np.ndarray] = field(default=None, repr=False)
     second_moment_eigenvalues: np.ndarray = field(init=False, repr=False)
     second_moment_range: linalg.EigenDecomp = field(init=False, repr=False)
@@ -164,6 +161,8 @@ class MomentModel:
         if np.trace(w.T @ m4 @ w) <= 0:
             raise InvalidCovariance("the fourth moment M4 is zero on the range of the "
                                     "second moment; no regressor law has such moments")
+        if self.law is None:
+            _psd_spectrum(m4, "fourth moment matrix")
         if self.f_hat is not None:
             self.f_hat = linalg.symmetrize(self.f_hat)
             eye = np.eye(self.dim)
@@ -177,7 +176,11 @@ class MomentModel:
 
     @property
     def supports_general_p(self) -> bool:
-        return self.fourth_operator is not None
+        return self.law is not None
+
+    @property
+    def sampling_cov(self) -> Optional[np.ndarray]:
+        return self.law.covariance if isinstance(self.law, GaussianSpec) else None
 
     def fourth_moment(self, p) -> np.ndarray:
         """Evaluate F(P) = E[h h^T P h h^T] for symmetric P."""
@@ -185,8 +188,10 @@ class MomentModel:
         if P.shape != self.second_moment.shape:
             raise DimMismatch(
                 f"P has shape {P.shape}, model dimension is {self.dim}")
-        if self.fourth_operator is not None:
-            return self.fourth_operator(P)
+        if isinstance(self.law, GaussianSpec):
+            return _wick(self.law.covariance, P)
+        if isinstance(self.law, DataMatrix):
+            return _row_pass(self.law.rows, P)
         if np.allclose(P, np.eye(self.dim), rtol=0.0, atol=1e-12):
             return self.m4.copy()
         raise UnsupportedOperator(
@@ -210,11 +215,15 @@ def sym_basis(m: int) -> np.ndarray:
     return basis
 
 
+def _psd_floor(matrix: np.ndarray) -> float:
+    """The least eigenvalue a PSD matrix may show: -1e-9 max(1, ||matrix||_F)."""
+    return -1e-9 * max(1.0, float(np.linalg.norm(matrix)))
+
+
 def _psd_spectrum(matrix: np.ndarray, what: str) -> linalg.EigenDecomp:
-    """Eigenpairs of a matrix that must be PSD to within _PSD_TOL
-    max(1, ||matrix||_F); ``linalg.eigh`` rejects an overflowing norm first."""
+    """Eigenpairs of a matrix that must be PSD; ``linalg.eigh`` rejects overflow first."""
     spectrum = linalg.eigh(matrix)
-    if spectrum.values[0] < -_PSD_TOL * max(1.0, float(np.linalg.norm(matrix))):
+    if spectrum.values[0] < _psd_floor(matrix):
         raise InvalidCovariance(f"{what} is not PSD (min eigenvalue {spectrum.values[0]:.3g})")
     return spectrum
 
@@ -237,10 +246,9 @@ def _require_finite(fourth_moments: dict) -> None:
                 f"the fourth moment {name} overflows float64; rescale the regressors")
 
 
-def _wick_operator(cov: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def apply(P: np.ndarray) -> np.ndarray:
-        return 2.0 * cov @ P @ cov + cov * float(np.trace(P @ cov))
-    return apply
+def _wick(cov: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """F(P) of a zero-mean Gaussian law with covariance ``cov``."""
+    return 2.0 * cov @ P @ cov + cov * float(np.trace(P @ cov))
 
 
 def gaussian_moment_model(spec: GaussianSpec | np.ndarray) -> MomentModel:
@@ -248,25 +256,18 @@ def gaussian_moment_model(spec: GaussianSpec | np.ndarray) -> MomentModel:
     if not isinstance(spec, GaussianSpec):
         spec = GaussianSpec(np.asarray(spec, dtype=float))
     cov = spec.covariance
-    op = _wick_operator(cov)
     k = sym_basis(spec.dim).reshape(-1, cov.size)
     with np.errstate(over="ignore", invalid="ignore"):
         k_s = k @ cov.ravel()
-        m4 = op(np.eye(spec.dim))
+        m4 = _wick(cov, np.eye(spec.dim))
         f_hat = 2.0 * k @ np.kron(cov, cov) @ k.T + np.outer(k_s, k_s)
     _require_finite({"M4": m4, "F^": f_hat})
-    return MomentModel(second_moment=cov, m4=m4, fourth_operator=op,
-                       sampling_cov=cov, f_hat=f_hat)
+    return MomentModel(second_moment=cov, m4=m4, law=spec, f_hat=f_hat)
 
 
 def explicit_moment_model(second_moment, m4) -> MomentModel:
     """Moment model from printed matrices S and M4 = F(I); F limited to P = I."""
-    model = MomentModel(
-        second_moment=np.asarray(second_moment, dtype=float),
-        m4=np.asarray(m4, dtype=float),
-    )
-    _psd_spectrum(model.m4, "fourth moment matrix")
-    return model
+    return MomentModel(second_moment, m4)
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
@@ -277,6 +278,16 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     total[...] = t
 
 
+def _row_pass(rows: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """F(P) averaged over ``rows``, reduced as the module docstring says."""
+    out, comp = np.zeros_like(P), np.zeros_like(P)
+    for start in range(0, len(rows), _CHUNK):
+        h = rows[start:start + _CHUNK]
+        w = np.einsum("ij,ij->i", h @ P, h)
+        _kahan_add(out, comp, (h * w[:, None]).T @ h)
+    return out / len(rows)
+
+
 def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
     """Moment model averaged over data rows, reduced as the module docstring says."""
     if not isinstance(data, DataMatrix):
@@ -284,15 +295,6 @@ def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
     rows = data.rows
     n, m = rows.shape
     k = sym_basis(m).reshape(-1, m * m)
-
-    def apply(P: np.ndarray) -> np.ndarray:
-        out, comp = np.zeros((m, m)), np.zeros((m, m))
-        for start in range(0, n, _CHUNK):
-            h = rows[start:start + _CHUNK]
-            w = np.einsum("ij,ij->i", h @ P, h)
-            _kahan_add(out, comp, (h * w[:, None]).T @ h)
-        return out / n
-
     second, comp2 = np.zeros((m, m)), np.zeros((m, m))
     f_hat, comp4 = np.zeros((len(k), len(k))), np.zeros((len(k), len(k)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,7 +303,6 @@ def empirical_moment_model(data: DataMatrix | np.ndarray) -> MomentModel:
             c = (h[:, :, None] * h[:, None, :]).reshape(len(h), m * m) @ k.T
             _kahan_add(second, comp2, h.T @ h)
             _kahan_add(f_hat, comp4, c.T @ c)
-        m4 = apply(np.eye(m))
+        m4 = _row_pass(rows, np.eye(m))
     _require_finite({"M4": m4, "F^": f_hat})
-    return MomentModel(second_moment=second / n, m4=m4, fourth_operator=apply,
-                       f_hat=f_hat / n)
+    return MomentModel(second_moment=second / n, m4=m4, law=data, f_hat=f_hat / n)

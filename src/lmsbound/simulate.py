@@ -138,7 +138,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg, presets
-from .moments import DataMatrix, MomentModel
+from .moments import DataMatrix, MomentModel, _psd_floor
 
 DIVERGENCE_GUARD = 1e12
 BOUNDED_THRESHOLD = 10.0
@@ -166,15 +166,14 @@ def sampling_factor(covariance: np.ndarray) -> np.ndarray:
 
     Positive definite covariances use the Cholesky factor; singular ones
     fall back to V sqrt(max(Lambda, 0)) from the eigendecomposition, which
-    is exact for rank-deficient laws.
+    is exact for rank-deficient laws that are PSD by the rule of ``moments``.
     """
     cov = linalg.symmetrize(covariance)
     try:
         return linalg.cholesky(cov)
     except linalg.NotPositiveDefinite:
         values, vectors = linalg.eigh(cov)
-        scale = max(1.0, float(values[-1]))
-        if values[0] < -1e-9 * scale:
+        if values[0] < _psd_floor(cov):
             raise linalg.InvalidMatrix(
                 f"covariance has a negative eigenvalue ({values[0]:.3g})")
         return vectors * np.sqrt(np.maximum(values, 0.0))

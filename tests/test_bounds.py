@@ -400,6 +400,18 @@ class TestMaxChi:
         assert res.chi == pytest.approx(1e-5, abs=1e-6)
         assert res.tolerance_limited
 
+    def test_free_rate_singular_strict(self):
+        with pytest.raises(GainTooLarge, match="no strictly feasible rate"):
+            max_chi_search(model("1D"), K.THEOREM1, 0.3, mode="strict")
+
+    def test_free_rate_beyond_range(self):
+        with pytest.raises(GainTooLarge, match=r"spectral radius 1\.24"):
+            max_chi_search(model("1A"), K.THEOREM1, 0.6)
+
+    def test_free_rate_needs_the_law(self):
+        with pytest.raises(UnsupportedOperator):
+            max_chi_search(model("reed"), K.THEOREM1, 0.1)
+
 
 def rank_deficient_laws(count, seed):
     """Seeded Gaussian and 400-row empirical laws, m = 2-6, rank 1 to m - 1,

@@ -136,6 +136,12 @@ class TestModelResolution:
         res = run(runner, "supgain", "--model", "9Z")
         assert res.exit_code == 2
 
+    def test_unknown_benchmark_prints_one_line(self, runner):
+        res = run(runner, "supgain", "--model", "1E")
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "error: unknown benchmark '1E'; expected one of 1A, 1B, 1C, 1D, reed"]
+
     def test_missing_moments_file(self, runner, tmp_path):
         res = run(runner, "supgain", "--moments-file",
                   str(tmp_path / "none.csv"))

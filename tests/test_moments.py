@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from lmsbound import moments
+from lmsbound import bounds, moments, presets
 from lmsbound.moments import (DataMatrix, DimMismatch, EmptyData, GaussianSpec,
                               InvalidCovariance, UnsupportedOperator,
                               empirical_moment_model, explicit_moment_model,
@@ -107,6 +109,12 @@ class TestExplicitModel:
         with pytest.raises(InvalidCovariance):
             explicit_moment_model(np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_constructor_rejects_non_psd_fourth_moment(self):
+        # The printed-moments rule is the model's own, not only its builder's.
+        with pytest.raises(InvalidCovariance, match="fourth moment matrix is not PSD"):
+            moments.MomentModel(second_moment=np.eye(2),
+                                m4=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
 
 class TestDataMatrix:
     def test_basic(self):
@@ -122,6 +130,10 @@ class TestDataMatrix:
     def test_response_length_checked(self):
         with pytest.raises(ValueError):
             DataMatrix(np.ones((3, 2)), responses=np.ones(2))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimMismatch, match="2-d row matrix"):
+            DataMatrix(np.zeros(3))
 
 
 class TestEmpiricalModel:
@@ -201,3 +213,49 @@ class TestMomentModelValidation:
         model = gaussian_moment_model(np.eye(2))
         with pytest.raises(DimMismatch):
             model.fourth_moment(np.eye(3))
+
+
+ROWS = np.random.default_rng(4).standard_normal((300, 3))
+
+
+class TestLaw:
+    """A model keeps the law it was built from, and is plain picklable data."""
+
+    def test_gaussian_keeps_its_spec(self):
+        spec = GaussianSpec.from_two_dim(1.0, 2.0, 0.5)
+        model = gaussian_moment_model(spec)
+        assert model.law is spec
+        assert model.sampling_cov is spec.covariance
+        assert model.supports_general_p
+        built = gaussian_moment_model(np.diag([2.0, 1.0]))
+        assert isinstance(built.law, GaussianSpec)
+        assert np.array_equal(built.sampling_cov, np.diag([2.0, 1.0]))
+
+    def test_empirical_keeps_its_rows(self):
+        data = DataMatrix(ROWS, np.arange(300.0))
+        assert empirical_moment_model(data).law is data
+        model = empirical_moment_model(ROWS)
+        assert isinstance(model.law, DataMatrix)
+        assert np.array_equal(model.law.rows, ROWS)
+        assert model.sampling_cov is None
+        assert model.supports_general_p
+
+    def test_printed_has_no_law(self):
+        model = presets.benchmark_model("reed")
+        assert model.law is None
+        assert model.sampling_cov is None
+        assert not model.supports_general_p
+
+    @pytest.mark.parametrize("build", [
+        lambda: presets.benchmark_model("1C"),
+        lambda: empirical_moment_model(ROWS),
+        lambda: presets.benchmark_model("reed"),
+    ], ids=["gaussian", "empirical", "printed"])
+    def test_pickle_round_trip(self, build):
+        model = build()
+        copy = pickle.loads(pickle.dumps(model))
+        kind = bounds.CriterionKind.COROLLARY2
+        assert (bounds.sup_gain(copy, kind).sup_gain
+                == bounds.sup_gain(model, kind).sup_gain)
+        eye = np.eye(model.dim)
+        assert np.array_equal(copy.fourth_moment(eye), model.fourth_moment(eye))

@@ -67,6 +67,14 @@ class TestSamplingFactor:
         with pytest.raises(linalg.InvalidMatrix, match="negative eigenvalue"):
             sampling_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_accepts_what_the_model_accepts(self):
+        # One PSD rule: an eigenvalue down to -1e-9 max(1, ||C||_F) is noise,
+        # so every Gaussian model that builds can be sampled.
+        model = gaussian_moment_model(np.diag([1.0, 1, 1, 1, -1.5e-9]))
+        res = run_lms(SimConfig(model=model, theta_star=np.ones(5), gain=0.1,
+                                k_max=50, replications=4))
+        assert res.classification == "bounded"
+
 
 class TestConfigValidation:
     def test_requires_samplable_model(self):
