@@ -55,6 +55,7 @@ class InvalidRate(ValueError):
 
 
 class CriterionKind(enum.Enum):
+    """The five criteria, declared in the order of every table's rows."""
     THEOREM1 = "theorem1"
     COROLLARY2 = "corollary2"
     WIDROW_LAMBDA_MAX = "widrow_lambda_max"
@@ -79,9 +80,12 @@ class SupGainResult:
     sup_gain: float
     certificate: Optional[GainCertificate] = None
     inapplicable: bool = False
-    tolerance_limited: bool = False
     strictly_infeasible: bool = False
     note: str = ""
+
+    @property
+    def tolerance_limited(self) -> bool:
+        return self.certificate is not None and self.certificate.tolerance_limited
 
 
 @dataclass
@@ -162,8 +166,7 @@ def sup_gain(model: MomentModel, kind: CriterionKind,
     if cert is None:
         return SupGainResult(kind, sup, note=f"no certificate passed the {mode} "
                                              f"slack test at sup*(1 - {TOL_A:g})")
-    return SupGainResult(kind, sup, certificate=cert,
-                         tolerance_limited=cert.tolerance_limited)
+    return SupGainResult(kind, sup, certificate=cert)
 
 
 def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,

@@ -42,7 +42,7 @@ from .linalg import NonConvergence
 from .moments import (GaussianSpec, MomentModel, UnsupportedOperator,
                       empirical_moment_model, explicit_moment_model,
                       gaussian_moment_model)
-from .report import CRITERIA_ORDER, Cell, Table
+from .report import Cell, Table
 from .simulate import SimConfig, run_lms
 
 # Every library error for bad input is a ValueError, except the last two;
@@ -114,10 +114,9 @@ def _resolve_model(model, sigma1, sigma2, rho, moments_file, data,
     if gaussian:
         if sigma1 is None or sigma2 is None:
             raise ValueError("--sigma1 and --sigma2 are both required")
-        spec = GaussianSpec.from_two_dim(sigma1, sigma2,
-                                         0.0 if rho is None else rho)
-        return f"gaussian({sigma1},{sigma2},{spec.covariance[0,1]/ (sigma1*sigma2):g})", \
-            gaussian_moment_model(spec)
+        rho = 0.0 if rho is None else rho
+        law = gaussian_moment_model(GaussianSpec.from_two_dim(sigma1, sigma2, rho))
+        return f"gaussian({sigma1},{sigma2},{rho:g})", law
     if moments_file is not None:
         return Path(moments_file).name, _load_moments_file(moments_file)
     if recipe is None:
@@ -194,7 +193,7 @@ def main():
 def supgain(criteria, mode, fmt, **source):
     """Largest admissible constant gain per criterion for one model."""
     name, moment_model = _resolve_model(**source)
-    kinds = list(CRITERIA_ORDER)
+    kinds = list(CriterionKind)
     if criteria is not None:
         kinds = [CriterionKind.from_name(tok.strip())
                  for tok in criteria.split(",") if tok.strip()]

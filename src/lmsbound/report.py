@@ -42,13 +42,6 @@ from .bounds import (CriterionKind, GainTooLarge, SupGainResult,
 from .moments import MomentModel
 from .simulate import SimConfig, SimResult, run_lms
 
-CRITERIA_ORDER = (
-    CriterionKind.THEOREM1,
-    CriterionKind.COROLLARY2,
-    CriterionKind.WIDROW_LAMBDA_MAX,
-    CriterionKind.WIDROW_TRACE,
-    CriterionKind.ZHU,
-)
 SKIPPED_NOTE = ("free-matrix certificates need a fourth-moment operator; "
                 "this model carries printed matrices only")
 
@@ -153,7 +146,7 @@ class Table:
 
 
 def supgain_results(names: Sequence[str] = presets.BENCHMARK_NAMES,
-                    criteria: Sequence[CriterionKind] = CRITERIA_ORDER,
+                    criteria: Sequence[CriterionKind] = tuple(CriterionKind),
                     mode: str = "relaxed", *,
                     models: dict[str, MomentModel],
                     ) -> dict[tuple[str, CriterionKind], Optional[SupGainResult]]:
@@ -189,11 +182,11 @@ def build_supgain_table(
         ) -> Table:
     """Criterion-by-benchmark sup-gain table, plus classification rows if given."""
     table = Table("supgain", tuple(names))
-    for kind in CRITERIA_ORDER:
+    for kind in CriterionKind:
         table.add_row(kind.value,
                       [_supgain_cell(results[(name, kind)]) for name in names])
     if annotations is not None:
-        for kind in CRITERIA_ORDER:
+        for kind in CriterionKind:
             cells = [Cell(text=annotations.get((name, kind), ""))
                      for name in names]
             table.add_row(kind.value + "_classification", cells)
@@ -224,13 +217,11 @@ def working_gain_simulations(
         if model.sampling_cov is None:
             continue
         gains: dict[CriterionKind, float] = {}
-        for kind in CRITERIA_ORDER:
+        for kind in CriterionKind:
             result = results.get((name, kind))
             if result is None:
                 continue
             out[(name, kind)] = None
-            if result.inapplicable or result.strictly_infeasible:
-                continue
             try:
                 gains[kind] = protocol_gain(result.sup_gain)
             except GainTooLarge:

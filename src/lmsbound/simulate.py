@@ -46,14 +46,14 @@ would lose the pid of a helper already running.  Where ``os.fork`` does
 not exist, ``_draw_chunk`` calls the same fill function inline.
 
 The work that does not depend on the state is done once per chunk: the
-regressors as a stack of the per-step (R, m) @ (m, m) products, the noise,
-and for ``run_lms`` the measurements z.  The products stay per step on
+regressors as a stack of the per-step (R, m) @ (m, m) products, the noise
+and the measurements z.  The products stay per step on
 purpose: one (chunk, m) @ (m, m) product per replication takes another
 BLAS path when R = 1 and differs from the per-step product in the last
 bits.  The regressors are then copied once into a component-major
 (chunk, m, 1, R) buffer, so that a step reads one contiguous (m, 1, R)
 slice.  The chunk's buffers are allocated once per run and reused, as is
-``run_lms``'s (m, chunk, 1, R) buffer of the products h_i theta*_i; the
+the (m, chunk, 1, R) buffer of the products h_i (theta* - origin)_i; the
 step loop takes its views of the lanes of ``_component_sum`` once per block.
 
 Component-major state and one update line
@@ -65,8 +65,8 @@ whatever m is: the products of the state with the regressor (one call),
 their sum over the components (m - 1 calls), the residual minus z and
 times the scale (two calls), the residual times the regressor (one call)
 and the new state (one call), so m + 4 calls in all.  ``run_lms`` and
-``run_error_recursion`` share this one update line (``_steps``) and differ
-only in the origin of the state and the measurements (see "Recursions").
+``run_error_recursion`` share this one update line (``_steps``) and one
+measurement line, and differ only in ``origin`` (see "Recursions").
 
 Shared streams across gains
 ---------------------------
@@ -100,7 +100,7 @@ values are merged back in at the end.
 Exact row reductions
 --------------------
 Every dot product over the m components (the residuals, the squared norms,
-``run_lms``'s measurements and the initial norms) goes through
+the measurements and the initial norms) goes through
 ``_component_sum``.  It adds the even components left to right and the
 odd components left to right, then adds the two lanes: ((p0 + p2) + p4)
 + (p1 + p3) at m = 5.  That is the order of numpy's SIMD ``np.einsum``: it
@@ -112,11 +112,14 @@ simulates m >= 8.
 
 Recursions
 ----------
-``run_lms`` propagates the estimate theta_k with synthesized measurements
-z_k = h_k . theta* + eps_k (origin 0);  ``run_error_recursion`` propagates
-the error e_k = theta_k - theta* directly (origin theta*, z_k = eps_k).
-The two recursions are algebraically identical and step through the same
-update line; the squared norm is |state - (theta* - origin)|^2 in both.
+Both recursions hold state = theta_k - origin, measure
+z_k = h_k . (theta* - origin) + eps_k and differ only in ``origin``:
+``run_lms`` propagates the estimate theta_k (origin 0, so z_k =
+h_k . theta* + eps_k), and ``run_error_recursion`` propagates the error
+e_k = theta_k - theta* directly (origin theta*, so z_k = eps_k, since the
+products with a zero offset add zeros).  The two recursions are
+algebraically identical and step through the same measurement and update
+lines; the squared norm is |state - (theta* - origin)|^2 in both.
 With theta* = 0 they perform the same floating-point operations and agree
 bit for bit; with a nonzero theta* they agree to rounding error, which
 cross-checks the stream plumbing.
@@ -133,7 +136,7 @@ import os
 import signal
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -463,25 +466,24 @@ def _block_steps(m: int, gains: int, replications: int) -> int:
 # A diverging replication may overflow before the guard freezes it.
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
-              origin: np.ndarray,
-              measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
-              ) -> Union[SimResult, SimBatch]:
+              origin: np.ndarray) -> Union[SimResult, SimBatch]:
     """Step every gain over one draw of the replication streams.
 
     The state of each gain starts at theta_0 - ``origin`` and is held
-    component-major, as an (m, G, R) array.  Per chunk of L steps,
-    ``measure(hs, noise)`` maps the (L, m, 1, R) regressors and the
-    (L, 1, R) noise, which it may overwrite, to the (L, 1, R) measurements
-    z.  Every step then computes ``state - gain * (h . state - z) * h``,
-    and the guard reads the squared error norms
-    ``|state - (theta* - origin)|^2`` once per block (see "The per-block
-    guard" above).  ``gains=None`` runs ``config.gain`` alone and returns
-    its ``SimResult``.
+    component-major, as an (m, G, R) array.  Per chunk the measurements
+    are z = h . (theta* - origin) + eps.  Every step then computes
+    ``state - gain * (h . state - z) * h``, and the guard reads the squared
+    error norms ``|state - (theta* - origin)|^2`` once per block (see "The
+    per-block guard" above).  ``gains=None`` runs ``config.gain`` alone and
+    returns its ``SimResult``.
     """
-    configs = ([config] if gains is None
-               else [replace(config, gain=float(g)) for g in gains])
     m, sigma, k_max = config.model.dim, config.sigma_eps, config.k_max
     reps = config.replications
+    chunk = min(_CHUNK_STEPS, k_max)
+    # The products h_i (theta* - origin)_i, component-major; formed in place per chunk.
+    products = np.empty((m, chunk, 1, reps))
+    configs = ([config] if gains is None
+               else [replace(config, gain=float(g)) for g in gains])
     factor_t = sampling_factor(config.model.sampling_cov).T
     gens = _make_generators(config.master_seed, reps)
     theta0 = _initial_estimates(config, gens)
@@ -528,7 +530,6 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     # leaves the batch on step 1.
     freeze(norms(state.copy())[None], 0)
     scale = gain * live
-    chunk = min(_CHUNK_STEPS, k_max)
     h_rows = np.empty((chunk, reps, m))
     hs = np.empty((chunk, m, 1, reps))
     noise = np.empty((chunk, 1, reps))
@@ -543,8 +544,9 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
             np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t,
                       out=h_rows[:length])
             np.copyto(hs[:length], h_rows[:length].transpose(0, 2, 1)[:, :, None])
-            np.multiply(draws[:, :length, m].T[:, None], sigma, out=noise[:length])
-            zs = measure(hs[:length], noise[:length])
+            zs = np.multiply(draws[:, :length, m].T[:, None], sigma, out=noise[:length])
+            zs += _component_sum(np.multiply(hs[:length].swapaxes(0, 1),
+                                             parked[..., None], out=products[:, :length]))
             start, end = step_no, step_no + length
             while step_no < end and len(order):
                 n = min(block, end - step_no)
@@ -575,16 +577,7 @@ def run_lms(config: SimConfig,
     ``SimResult`` per gain comes back (``config.gain`` is then unused); each
     is bit-identical to a run of that gain alone.
     """
-    star = config.theta_star[:, None, None, None]
-    # The products h_i theta*_i, component-major; formed in place per chunk.
-    products = np.empty((config.model.dim, min(_CHUNK_STEPS, config.k_max), 1,
-                         config.replications))
-
-    def measure(hs, noise):
-        noise += _component_sum(np.multiply(hs.swapaxes(0, 1), star,
-                                            out=products[:, :len(hs)]))
-        return noise
-    return _simulate(config, gains, np.zeros(config.model.dim), measure)
+    return _simulate(config, gains, np.zeros(config.model.dim))
 
 
 def run_error_recursion(config: SimConfig,
@@ -595,7 +588,7 @@ def run_error_recursion(config: SimConfig,
     Consumes streams identical to ``run_lms`` and must agree with it:
     bit for bit when theta* = 0, to rounding error otherwise.
     """
-    return _simulate(config, gains, config.theta_star, lambda hs, noise: noise)
+    return _simulate(config, gains, config.theta_star)
 
 
 def batch_ls(data: DataMatrix) -> np.ndarray:

@@ -301,6 +301,63 @@ class TestClosedFormAgainstBisection:
                            mode="strict") is None
 
 
+@st.composite
+def spectra(draw):
+    """Gaussian covariances V diag(spectrum) V^T, m = 1-7, full or low rank."""
+    m = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectrum = np.exp(rng.uniform(np.log(0.1), np.log(10.0), m))
+    spectrum[:draw(st.integers(0, m - 1))] = 0.0
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    cov = (v * spectrum) @ v.T
+    return (cov + cov.T) / 2.0
+
+
+def _feuer_weinstein_sup(lam):
+    """The root of sum(a lam_i / (1 - a lam_i)) = 2 on (0, 1/lam_max)."""
+    return _bisect(
+        lambda a: a * lam[-1] < 1.0 and (a * lam / (1.0 - a * lam)).sum() <= 2.0,
+        1.0 / lam[-1])
+
+
+def _diagonal_map_radius(lam, a):
+    """lambda_max of M = diag(1 - 2a lam + 2a^2 lam^2) + a^2 lam lam', the
+    mean-square map on matrices diagonal in S's eigenbasis: the largest mu
+    above max(diag) with a^2 sum(lam_i^2 / (mu - d_i)) = 1."""
+    d = 1.0 - 2.0 * a * lam + 2.0 * a * a * lam * lam
+    return _bisect(
+        lambda mu: mu <= d.max() or a * a * (lam * lam / (mu - d)).sum() >= 1.0,
+        d.max() + a * a * (lam * lam).sum())
+
+
+class TestFeuerWeinsteinOracle:
+    """Theorem 1 on Gaussian laws against the classical condition (Feuer &
+    Weinstein, IEEE Trans. ASSP 33, 1985), from eigvalsh(S) and bisections
+    alone: the sup is the root of sum(a lam_i / (1 - a lam_i)) = 2 over
+    the range eigenvalues, and rho(T^) on L^'s range is lambda_max(M).  On
+    a singular law the modes that mix S's range and null space add
+    1 - a lam_min+ to the spectrum."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(spectra(), st.floats(0.05, 1.5))
+    @example(model("1A").law.covariance, 0.9)
+    @example(model("1B").law.covariance, 0.9)
+    @example(model("1C").law.covariance, 0.9)
+    @example(model("1D").law.covariance, 0.9)
+    def test_random_gaussian_laws(self, cov, fraction):
+        spectrum = np.linalg.eigvalsh(cov)
+        lam = spectrum[spectrum > 1e-9 * spectrum[-1]]
+        sup = _feuer_weinstein_sup(lam)
+        law = gaussian_moment_model(cov)
+        assert sup_gain(law, K.THEOREM1).sup_gain == pytest.approx(sup, rel=1e-12)
+
+        a = fraction * sup
+        top = _diagonal_map_radius(lam, a)
+        if len(lam) < len(cov):
+            top = max(top, 1.0 - a * lam[0])
+        assert lmi.mean_square_map(law, a).values[-1] == pytest.approx(top, abs=1e-12)
+
+
 class TestUncertifiedSup:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(st.floats(0.01, 10.0), st.floats(0.01, 10.0),

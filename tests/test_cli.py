@@ -103,6 +103,17 @@ class TestSupgain:
         assert by_row["corollary2"]["cells"]["sup_gain"]["value"] \
             == pytest.approx(0.5, abs=1e-5)
 
+    # A Gaussian law is labelled with the sigmas and rho it was given, or 0
+    # without --rho.
+    @pytest.mark.parametrize("args, label", [
+        (("--sigma1", "3", "--sigma2", "7", "--rho", "0.1"), "gaussian(3.0,7.0,0.1)"),
+        (("--sigma1", "1", "--sigma2", "2"), "gaussian(1.0,2.0,0)")])
+    def test_gaussian_label(self, runner, args, label):
+        res = run(runner, "supgain", *args, "--format", "jsonl")
+        assert res.exit_code == 0
+        tables = {json.loads(ln)["table"] for ln in res.output.splitlines()}
+        assert tables == {f"supgain:{label}"}
+
 
 TEXT_TABLES = Path(__file__).with_name("text_tables.txt")
 
@@ -614,9 +625,10 @@ class TestErrorContract:
             "error: the fourth moment M4 is zero but the second moment is not; "
             "rescale the regressors"]
 
-    # A zero second moment (an all-zero table), and a printed fourth moment
-    # that is zero on the second moment's range, describe no regressor law:
-    # every command that reads them exits 2 with one line.
+    # A zero second moment (an all-zero table, or a Gaussian law whose
+    # variances underflow), and a printed fourth moment that is zero on the
+    # second moment's range, describe no regressor law: every command that
+    # reads them exits 2 with one line.
     @pytest.mark.parametrize("args", [
         ("errorbound", "--gain", "0.1"), ("errorbound",), ("supgain",),
         ("simulate", "--gain", "0.1", "--iters", "5", "--reps", "2")],
@@ -626,11 +638,15 @@ class TestErrorContract:
          "the second moment is zero; there is no gain to certify"),
         (("--moments-file", "{path}"), "1,0\n0,0\n0,0\n0,1\n",
          "the fourth moment M4 is zero on the range of the second moment; "
-         "no regressor law has such moments")], ids=["zero-table", "m4-off-range"])
+         "no regressor law has such moments"),
+        (("--sigma1", "1e-200", "--sigma2", "1e-200"), None,
+         "the second moment is zero; there is no gain to certify")],
+        ids=["zero-table", "m4-off-range", "gaussian-underflow"])
     def test_moments_of_no_law_print_one_line(self, runner, tmp_path, args, source,
                                               text, message):
         path = tmp_path / "law.csv"
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
         res = run(runner, *args, *(arg.format(path=path) for arg in source))
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [f"error: {message}"]

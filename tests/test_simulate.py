@@ -451,19 +451,22 @@ class TestDrawHelper:
         assert all(r.settled_step < k_max for r in batch)
         _no_child_left()
 
-    def test_reaped_when_a_step_raises(self):
-        # The run raises while forming its second chunk, with the helper
-        # drawing the third.
+    def test_reaped_when_a_step_raises(self, monkeypatch):
+        # The run raises on the first step of its second chunk, with the
+        # helper drawing the third.
         cfg = config(k_max=5 * simulate._CHUNK_STEPS)
-        chunks = []
+        stepped = []
+        steps = simulate._steps
 
-        def measure(hs, noise):
-            chunks.append(1)
-            if len(chunks) == 2:
+        def failing_steps(state, hs, *args):
+            if sum(stepped) == simulate._CHUNK_STEPS:
                 raise FloatingPointError("injected")
-            return noise
+            stepped.append(len(hs))
+            return steps(state, hs, *args)
+        monkeypatch.setattr(simulate, "_steps", failing_steps)
         with pytest.raises(FloatingPointError, match="injected"):
-            simulate._simulate(cfg, None, np.zeros(2), measure)
+            run_lms(cfg)
+        assert sum(stepped) == simulate._CHUNK_STEPS
         _no_child_left()
 
     def test_parent_raises_when_the_helper_fails(self, monkeypatch):
@@ -537,16 +540,16 @@ class TestDrawHelper:
         _no_child_left()
 
     @needs_affinity
-    def test_parent_affinity_is_kept(self):
+    def test_parent_affinity_is_kept(self, monkeypatch):
         parent = os.sched_getaffinity(0)
         run_lms(config(k_max=3 * simulate._CHUNK_STEPS + 5))
         assert os.sched_getaffinity(0) == parent
 
-        def measure(hs, noise):
+        def failing_steps(*args):
             raise FloatingPointError("injected")
+        monkeypatch.setattr(simulate, "_steps", failing_steps)
         with pytest.raises(FloatingPointError, match="injected"):
-            simulate._simulate(config(k_max=3 * simulate._CHUNK_STEPS), None,
-                               np.zeros(2), measure)
+            run_lms(config(k_max=3 * simulate._CHUNK_STEPS))
         assert os.sched_getaffinity(0) == parent
         _no_child_left()
 
