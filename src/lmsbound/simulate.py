@@ -45,16 +45,20 @@ fork ignores that one warning, as a warning turned into an error there
 would lose the pid of a helper already running.  Where ``os.fork`` does
 not exist, ``_draw_chunk`` calls the same fill function inline.
 
-The work that does not depend on the state is done once per chunk: the
-regressors as a stack of the per-step (R, m) @ (m, m) products, the noise
-and the measurements z.  The products stay per step on
-purpose: one (chunk, m) @ (m, m) product per replication takes another
-BLAS path when R = 1 and differs from the per-step product in the last
-bits.  The regressors are then copied once into a component-major
-(chunk, m, 1, R) buffer, so that a step reads one contiguous (m, 1, R)
-slice.  The chunk's buffers are allocated once per run and reused, as is
-the (m, chunk, 1, R) buffer of the products h_i (theta* - origin)_i; the
-step loop takes its views of the lanes of ``_component_sum`` once per block.
+The work that does not depend on the state is done once per guard block,
+from the block's steps of the chunk's slot: the regressors as a stack of
+the per-step (R, m) @ (m, m) products, the noise and the measurements z.
+So the formed values are still in the cache when the block steps through
+them.  The products stay per step on purpose: one (block, m) @ (m, m)
+product per replication takes another BLAS path when R = 1 and differs
+from the per-step product in the last bits.  The regressors are then
+copied once into a component-major (block, m, 1, R) buffer, so that a step
+reads one contiguous (m, 1, R) slice.  The block's buffers are allocated
+once per run and reused; the (m, block, 1, R) products h_i (theta* -
+origin)_i are formed in the memory of the (block, R, m) regressor rows,
+which are dead once copied.  The step loop takes its per-step views of
+the regressors and measurements once per run, those of the history and
+of the lanes of ``_component_sum`` once per block.
 
 Component-major state and one update line
 -----------------------------------------
@@ -82,8 +86,8 @@ stops once no gain is left.
 
 The per-block guard
 -------------------
-Each step writes its new state into slot j of a small history buffer of
-up to ``_block_steps`` steps (32, fewer when m * G * R is large); a block
+Each step writes its new state into slot j of a history buffer of
+up to ``_block_steps`` steps (a chunk, fewer when m * G * R is large); a block
 also ends at each chunk end and at ``k_max``.  The guard reads the block's
 squared error norms at its end, in a few calls over the whole block.  A
 frozen replication's value is kept in a separate (G, R) array, and its
@@ -147,7 +151,6 @@ DIVERGENCE_GUARD = 1e12
 BOUNDED_THRESHOLD = 10.0
 DIVERGED_THRESHOLD = 1e8
 _CHUNK_STEPS = 128
-_BLOCK_STEPS = 32
 _BLOCK_VALUES = 1 << 16
 
 
@@ -293,17 +296,22 @@ class _Streams:
         self.drawn = 0          # chunks handed out by _draw_chunk
         self.pid: Optional[int] = None
         self.fds: list[int] = []
+        self.fillers: Optional[list] = None
 
     def fill(self, index: int) -> None:
         """Draw chunk ``index`` into its slot.
 
         Replication r's rows get its next standard normals, the last column
         being the noise draw; each stream is consumed exactly as by drawing
-        a fresh (length, m+1) array.
+        a fresh (length, m+1) array.  The first fill binds each stream's
+        ``standard_normal`` and takes per-slot views of its rows.
         """
+        if self.fillers is None:
+            self.fillers = [list(zip([g.standard_normal for g in self.gens], slot))
+                            for slot in self.slots]
         length = min(self.chunk, self.k_max - index * self.chunk)
-        for r, g in enumerate(self.gens):
-            g.standard_normal(out=self.slots[index % 2, r, :length])
+        for normal, rows in self.fillers[index % 2]:
+            normal(out=rows[:length])
 
     def __enter__(self) -> "_Streams":
         if hasattr(os, "fork"):
@@ -442,25 +450,26 @@ def _steps(state: np.ndarray, hs: np.ndarray, zs: np.ndarray, scale: np.ndarray,
     # With one component the dot product is the product itself.
     resid = products[0] if len(products) == 1 else np.empty(state.shape[1:])
     adds = _lane_adds(products, resid)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     # ``out`` goes by position, which numpy parses faster than a keyword.
     for h, z, new in zip(hs, zs, history):
-        np.multiply(state, h, products)
+        multiply(state, h, products)
         for a, b, total in adds:
-            np.add(a, b, total)
-        np.subtract(resid, z, resid)
-        np.multiply(resid, scale, resid)
-        np.multiply(resid, h, products)
-        state = np.subtract(state, products, new)
+            add(a, b, total)
+        subtract(resid, z, resid)
+        multiply(resid, scale, resid)
+        multiply(resid, h, products)
+        state = subtract(state, products, new)
     return state
 
 
 def _block_steps(m: int, gains: int, replications: int) -> int:
-    """Steps per guard block: 32, or fewer once a step's state is large.
+    """Steps per guard block: a chunk, or fewer once a step's state is large.
 
     A block's history then holds at most ``_BLOCK_VALUES`` values, and a
     block is never shorter than 8 steps.
     """
-    return min(_BLOCK_STEPS, max(8, _BLOCK_VALUES // (m * gains * replications)))
+    return min(_CHUNK_STEPS, max(8, _BLOCK_VALUES // (m * gains * replications)))
 
 
 # A diverging replication may overflow before the guard freezes it.
@@ -470,8 +479,8 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     """Step every gain over one draw of the replication streams.
 
     The state of each gain starts at theta_0 - ``origin`` and is held
-    component-major, as an (m, G, R) array.  Per chunk the measurements
-    are z = h . (theta* - origin) + eps.  Every step then computes
+    component-major, as an (m, G, R) array.  Per guard block the
+    measurements are z = h . (theta* - origin) + eps.  Every step then computes
     ``state - gain * (h . state - z) * h``, and the guard reads the squared
     error norms ``|state - (theta* - origin)|^2`` once per block (see "The
     per-block guard" above).  ``gains=None`` runs ``config.gain`` alone and
@@ -480,8 +489,6 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     m, sigma, k_max = config.model.dim, config.sigma_eps, config.k_max
     reps = config.replications
     chunk = min(_CHUNK_STEPS, k_max)
-    # The products h_i (theta* - origin)_i, component-major; formed in place per chunk.
-    products = np.empty((m, chunk, 1, reps))
     configs = ([config] if gains is None
                else [replace(config, gain=float(g)) for g in gains])
     factor_t = sampling_factor(config.model.sampling_cov).T
@@ -524,35 +531,41 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
             state, live, frozen = state[:, keep], live[keep], frozen[keep]
             gain, order, history = gain[keep], order[keep], history[:, :, keep]
 
-    block = _block_steps(m, len(configs), reps)
+    block = min(chunk, _block_steps(m, len(configs), reps))
     history = np.empty((block,) + state.shape)
     # A start beyond the guard freezes at once; a gain frozen from the start
     # leaves the batch on step 1.
     freeze(norms(state.copy())[None], 0)
     scale = gain * live
-    h_rows = np.empty((chunk, reps, m))
-    hs = np.empty((chunk, m, 1, reps))
-    noise = np.empty((chunk, 1, reps))
+    # The block's buffers.  The products h_i (theta* - origin)_i are formed
+    # component-major in the memory of the (block, R, m) regressor rows,
+    # which are dead once copied into ``hs``.
+    products = np.empty((m, block, 1, reps))
+    h_rows = products.reshape(block, reps, m)
+    hs = np.empty((block, m, 1, reps))
+    noise = np.empty((block, 1, reps))
+    h_steps, z_steps = list(hs), list(noise)
 
     step_no = 0
     with _Streams(gens, k_max, chunk, m) as streams:
         while step_no < k_max and len(order):
             length = min(chunk, k_max - step_no)
             draws = _draw_chunk(streams)
-            # One (R, m) @ (m, m) product per step, stacked (see "Chunks and
-            # the draw helper" above), then copied component-major.
-            np.matmul(draws[:, :length, :m].transpose(1, 0, 2), factor_t,
-                      out=h_rows[:length])
-            np.copyto(hs[:length], h_rows[:length].transpose(0, 2, 1)[:, :, None])
-            zs = np.multiply(draws[:, :length, m].T[:, None], sigma, out=noise[:length])
-            zs += _component_sum(np.multiply(hs[:length].swapaxes(0, 1),
-                                             parked[..., None], out=products[:, :length]))
             start, end = step_no, step_no + length
             while step_no < end and len(order):
                 n = min(block, end - step_no)
                 i = step_no - start
-                np.copyto(state, _steps(state, hs[i:i + n], zs[i:i + n], scale,
-                                        history[:n]))
+                # One (R, m) @ (m, m) product per step, stacked (see "Chunks
+                # and the draw helper" above), then copied component-major.
+                np.matmul(draws[:, i:i + n, :m].transpose(1, 0, 2), factor_t,
+                          out=h_rows[:n])
+                np.copyto(hs[:n], h_rows[:n].transpose(0, 2, 1)[:, :, None])
+                zs = np.multiply(draws[:, i:i + n, m].T[:, None], sigma,
+                                 out=noise[:n])
+                zs += _component_sum(np.multiply(
+                    hs[:n].swapaxes(0, 1), parked[..., None], out=products[:, :n]))
+                np.copyto(state, _steps(state, h_steps[:n], z_steps[:n], scale,
+                                        list(history[:n])))
                 sqs = norms(history[:n])
                 # Parked rows read 0, so a maximum within the guard means
                 # that no live row crossed it.

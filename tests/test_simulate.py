@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -801,6 +802,77 @@ class TestBlockGuard:
         # The largest gain settles within a block, off its end.
         assert settled[-1] is not None and settled[-1] not in ends
         assert settled[0] is None
+
+
+class TestBlockLength:
+    # Each guard block forms its regressors and measurements from the
+    # chunk's draws at the block's offset.  At 1 and 7 steps blocks start
+    # at every offset of a chunk; 100 does not divide the chunk, so blocks
+    # of 100 and 28 steps alternate.  The three largest gains settle, some
+    # in the middle of a block of each length, and the horizons lie past
+    # one and two chunk ends.
+    @staticmethod
+    def block_ends(block, k_max):
+        """The steps on which a run's blocks end: every ``block`` steps from
+        each chunk start, at each chunk end and at ``k_max``."""
+        chunk = simulate._CHUNK_STEPS
+        return {min(start + i, k_max) for start in range(0, k_max, chunk)
+                for i in [*range(block, chunk, block), chunk]}
+
+    @pytest.mark.parametrize("reps", [1, 2, 12])
+    def test_bits_do_not_depend_on_the_block_length(self, monkeypatch, reps):
+        gains = [0.05, 0.45, 0.9, 1.6, 3.0]
+        chunk = simulate._CHUNK_STEPS
+        horizons = (chunk + 3, 2 * chunk + 37)
+        base = dict(model=presets.benchmark_model("1B"), theta_star=THETA,
+                    sigma_eps=0.1, replications=reps, master_seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            references = [reference_run_lms(
+                SimConfig(gain=gain, k_max=horizons[-1], **base), horizons)
+                for gain in gains]
+        settled = [states[horizons[-1]][2] for states in references]
+        assert settled[0] is None
+        for block in (7, 100):
+            ends = self.block_ends(block, horizons[-1])
+            assert any(s is not None and s not in ends for s in settled)
+        runs = {k: run_lms(SimConfig(gain=gains[0], k_max=k, **base), gains=gains)
+                for k in horizons}
+        for block in (1, 7, 100):
+            monkeypatch.setattr(simulate, "_block_steps", lambda *args: block)
+            for k in horizons:
+                batch = run_lms(SimConfig(gain=gains[0], k_max=k, **base), gains=gains)
+                for result, default, states in zip(batch, runs[k], references):
+                    _assert_same(result, default)
+                    _assert_state(result, states[k])
+
+
+class TestKernelMemory:
+    # The kernel forms its regressors and measurements per guard block, so
+    # its buffers scale with the block, not the chunk.  The draw slots are
+    # ``mmap`` memory, which tracemalloc does not see; the peak is what the
+    # parent allocates through numpy.
+    @staticmethod
+    def traced_peak(config, gains=None):
+        tracemalloc.start()
+        try:
+            run_lms(config, gains=gains)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_batch_peak_at_a_thousand_replications(self):
+        # As the report runs 1B: its five working gains, 8-step blocks.
+        gains = [0.1609, 0.1537, 0.4999, 0.3999, 0.1249]
+        cfg = config("1B", gain=gains[0], k_max=2 * simulate._CHUNK_STEPS + 5,
+                     replications=1000, master_seed=7, init=presets.protocol_init(7, 2))
+        # Chunk-sized buffers peak at about 8.7 MiB, block-sized ones at 2.2.
+        assert self.traced_peak(cfg, gains) < 4 * 2**20
+
+    def test_single_gain_peak_with_whole_chunk_blocks(self):
+        # At R = 100 a block spans the whole chunk; its history stays small.
+        cfg = config("1B", k_max=2 * simulate._CHUNK_STEPS + 5, replications=100)
+        assert simulate._block_steps(2, 1, 100) == simulate._CHUNK_STEPS
+        assert self.traced_peak(cfg) < 1.5 * 2**20
 
 
 class TestDivergenceGuard:
