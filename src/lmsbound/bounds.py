@@ -199,7 +199,7 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
     if kind is not CriterionKind.THEOREM1:
         raise ValueError(f"max chi is defined for certificate criteria, not {kind}")
 
-    values, vectors = mean_square_map(model, gain)
+    values, vectors = decomposition = mean_square_map(model, gain)
     frozen = len(values) < len(vectors)
     if frozen and strict:
         raise GainTooLarge(
@@ -213,7 +213,7 @@ def max_chi_search(model: MomentModel, kind: CriterionKind, gain: float,
         raise GainTooLarge(
             f"gain {gain} is infeasible for the drift inequality even at "
             f"vanishing rate (spectral radius {rho:.6g})")
-    cert = solve_feasibility(model, gain, chi, mode)
+    cert = solve_feasibility(model, gain, chi, mode, decomposition)
     if cert is None:
         raise NonConvergence(f"no certificate at gain {gain} and rate {chi:.6g}")
     return ChiSearchResult(chi, cert.p_matrix, cert,

@@ -2,16 +2,18 @@
 
 ``eigh`` is one LAPACK call with a sign rule, so its vectors do not depend on
 the sign LAPACK returns.  ``cholesky`` is an in-house column loop whose bits
-Gaussian sampling reads; ``proves_positive_definite`` runs it on a matrix
-shifted down by a bound on its rounding error (Rump, BIT 46, 2006), so that
-``lmi.check_certificate`` decides with no call into ``numpy.linalg`` and
-shares nothing with the LAPACK searches.  Matrices are float64 numpy arrays;
-symmetric inputs are re-symmetrized and validated for finiteness.
+Gaussian sampling reads.  ``proves_positive_definite`` factors a matrix
+shifted down by a bound on its rounding error (Rump, BIT 46, 2006) in its
+own row loop on Python floats, which reads only the signs of the pivots, so
+that ``lmi.check_certificate`` decides with no call into ``numpy.linalg``
+and shares nothing with the LAPACK searches.  Matrices are float64 numpy
+arrays; symmetric inputs are re-symmetrized and validated for finiteness.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +46,13 @@ def symmetrize(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + a.T
+    if np.isfinite(s).all():
+        return s / 2.0
+    if not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return (a + a.T) / 2.0
+    return a / 2.0 + a.T / 2.0   # finite entries whose sum overflows
 
 
 def eigh(a) -> EigenDecomp:
@@ -89,25 +95,33 @@ def cholesky(a) -> np.ndarray:
 
 
 def proves_positive_definite(a) -> tuple[bool, float]:
-    """(proved, shift): whether ``cholesky`` of fl(A - shift I) succeeds.
+    """(proved, shift): whether a float Cholesky of fl(A - shift I) completes.
 
     A float Cholesky of an n x n matrix B that completes factors B + E with
-    ||E||_2 <= (n + 1) u tr(B) / (1 - 2(n + 1) u), u = 2^-53 (Rump, BIT 46,
-    2006).  shift = 2(n + 2) u tr(A) + n 2^-1022 also covers the rounding of
-    the shifted diagonal, of a diagonal formed as a difference, of the trace
-    and the shift, and underflow, so a success proves A positive definite.
-    An overflowing pivot fails; a trace not positive and finite gives (False, inf).
+    ||E||_2 <= (n + 1) u tr(B) / (1 - 2(n + 1) u), u = 2^-53, in any order of
+    summation (Rump, BIT 46, 2006).  shift = 2(n + 2) u tr(A) + n 2^-1022 also
+    covers the rounding of the shifted diagonal, of a diagonal formed as a
+    difference, of the trace and the shift, and underflow, so a success proves
+    A positive definite.  The factor runs row by row on Python floats; a
+    pivot not positive and finite fails, a trace not so gives (False, inf).
     """
-    A = symmetrize(a)
-    n = len(A)
-    trace = math.fsum(A.diagonal().tolist())
+    rows = symmetrize(a).tolist()
+    n = len(rows)
+    try:
+        trace = math.fsum(row[i] for i, row in enumerate(rows))
+    except OverflowError:   # finite diagonal entries whose sum overflows
+        return False, math.inf
     if not 0.0 < trace < math.inf:
         return False, math.inf
     shift = 2.0 * (n + 2) * 2.0 ** -53 * trace + n * 2.0 ** -1022
-    A.flat[::n + 1] -= shift
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cholesky(A)
-    except NotPositiveDefinite:
-        return False, shift
+    factor: list[list[float]] = []
+    for i, row in enumerate(rows):
+        li: list[float] = []
+        for j, lj in enumerate(factor):   # map stops at len(li) == j
+            li.append((row[j] - sum(map(operator.mul, li, lj))) / lj[j])
+        pivot = (row[i] - shift) - sum(map(operator.mul, li, li))
+        if not 0.0 < pivot < math.inf:
+            return False, shift
+        li.append(math.sqrt(pivot))
+        factor.append(li)
     return True, shift

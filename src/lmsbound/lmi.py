@@ -31,15 +31,17 @@ Two functions return a checked ``GainCertificate`` for (a, chi), or None:
 ``identity_certificate`` fixes P = I (corollary 2), and
 ``solve_feasibility`` lets P be free (theorem 1).  The latter keeps the
 identity when it certifies strictly, since it gives the tighter error
-bound, and then never forms T^; otherwise the resolvent replaces it when it
-does better.  Both use LAPACK (``numpy.linalg``) and never evaluate F(P):
-the identity slack is ``pencil_max_eigenvalue``, and the resolvent's drift
+bound, and then never forms T^; otherwise the resolvent, built from the
+caller's decomposition of T^ when one is given, replaces it when it does
+better.  Both use LAPACK (``numpy.linalg``) and never evaluate F(P): the
+identity slack is ``pencil_max_eigenvalue``, and the resolvent's drift
 matrix Q(P) = (T(P) - gamma P)/a is read off ``mean_square_map``.
 
 Certificates are verified from scratch: ``check_certificate`` forms Q(P)
 from the law (F(P), never F^) and proves eps I - Q(P) and P positive
-definite by a shifted Cholesky that shares no state with the search.  Each
-certificate is checked at the tolerance it claims.
+definite by a shifted Cholesky on Python floats
+(``linalg.proves_positive_definite``) that shares no state with the search.
+Each certificate is checked at the tolerance it claims.
 
 Degenerate laws (singular S with regressors confined to a subspace) admit
 no strictly feasible point: T is the identity on the frozen directions.
@@ -130,15 +132,16 @@ def mean_square_map(model: MomentModel, gain: float) -> linalg.EigenDecomp:
     return linalg.EigenDecomp(values, w @ vectors)
 
 
-def _resolvent(model: MomentModel, gain: float,
-               rate: float) -> tuple[Optional[np.ndarray], float]:
+def _resolvent(model: MomentModel, gain: float, rate: float,
+               decomposition: Optional[linalg.EigenDecomp]
+               ) -> tuple[Optional[np.ndarray], float]:
     """The closed-form certificate of the module docstring and its slack.
 
     (None, inf) when R is not positive definite on S's range, which happens
     only if some eigenvalue of T^ on L^'s range reaches gamma.
     """
     m, gamma, w = model.dim, 1.0 - gain * rate, model.second_moment_range.vectors
-    values, vectors = mean_square_map(model, gain)
+    values, vectors = decomposition or mean_square_map(model, gain)
     k = sym_basis(m).reshape(-1, m * m)
     e = vectors[:m].sum(axis=0)   # the first m basis elements sum to I
     frozen = np.eye(m) - (vectors @ e @ k).reshape(m, m)   # I's part on L^'s null space
@@ -203,12 +206,15 @@ def identity_certificate(model: MomentModel, gain: float, rate: float,
 
 
 def solve_feasibility(model: MomentModel, gain: float, rate: float,
-                      mode: str = "strict") -> Optional[GainCertificate]:
+                      mode: str = "strict",
+                      decomposition: Optional[linalg.EigenDecomp] = None
+                      ) -> Optional[GainCertificate]:
     """Theorem 1: a checked certificate with free P > 0 for (a, chi), or None.
 
-    The identity is kept when it certifies strictly; otherwise T^ is
-    eigendecomposed once and the resolvent certificate replaces the
-    identity when it does better.  Raises ``UnsupportedOperator`` for a
-    printed-moments model that the identity does not certify strictly.
+    The identity is kept when it certifies strictly; otherwise the resolvent
+    certificate, built from ``decomposition`` (``mean_square_map(model,
+    gain)``, formed here if not given), replaces the identity when it does
+    better.  Raises ``UnsupportedOperator`` for a printed-moments model that
+    the identity does not certify strictly.
     """
-    return _certify(model, gain, rate, mode, _resolvent)
+    return _certify(model, gain, rate, mode, lambda *args: _resolvent(*args, decomposition))

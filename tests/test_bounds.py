@@ -469,6 +469,17 @@ class TestMaxChi:
         with pytest.raises(UnsupportedOperator):
             max_chi_search(model("reed"), K.THEOREM1, 0.1)
 
+    def test_free_rate_decomposes_t_hat_once(self, monkeypatch):
+        # The rate and the resolvent certificate share one decomposition.
+        calls = {"mean_square_map_matrix": 0, "_resolvent": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(lmi, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(lmi, name, counted)
+        max_chi_search(model("1B"), K.THEOREM1, 0.1537)
+        assert calls == {"mean_square_map_matrix": 1, "_resolvent": 1}
+
 
 def rank_deficient_laws(count, seed):
     """Seeded Gaussian and 400-row empirical laws, m = 2-6, rank 1 to m - 1,

@@ -597,7 +597,11 @@ class TestErrorContract:
         ("simulate", "--sigma1", "1e100", "--sigma2", "1e100", "--gain", "0.1",
          "--iters", "5", "--reps", "2"),
         ("supgain", "--data", "{rows}", "--recipe", "column(0), column(1)"),
-    ], ids=["gaussian", "simulate", "data"])
+        # S + S^T overflows although S is finite
+        ("supgain", "--sigma1", "1e154", "--sigma2", "1e154"),
+        ("simulate", "--sigma1", "1e154", "--sigma2", "1e154", "--gain", "0.1",
+         "--iters", "5", "--reps", "2"),
+    ], ids=["gaussian", "simulate", "data", "gaussian-sum", "simulate-sum"])
     def test_overflowing_fourth_moment_prints_one_line(self, runner, tmp_path, args):
         rows = tmp_path / "rows.prn"
         rows.write_text("1e100 2e100\n-3e100 1e100\n2e99 5e100\n")
@@ -661,11 +665,15 @@ class TestErrorContract:
             "error: the second moment is zero; there is no gain to certify"]
 
     # A printed second moment whose Frobenius norm overflows float64 is an
-    # input error, reported before numpy can print an overflow warning.
+    # input error, reported before numpy can print an overflow warning, also
+    # where S + S^T overflows.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_second_moment_prints_one_line(self, runner, tmp_path):
+    @pytest.mark.parametrize("text", ["1e200 5e199\n5e199 1e200\n1 0\n0 1\n",
+                                      "1e308 0\n0 1e308\n1 0\n0 1\n"],
+                             ids=["frobenius", "sum"])
+    def test_overflowing_second_moment_prints_one_line(self, runner, tmp_path, text):
         moments = tmp_path / "moments.prn"
-        moments.write_text("1e200 5e199\n5e199 1e200\n1 0\n0 1\n")
+        moments.write_text(text)
         res = run(runner, "supgain", "--moments-file", str(moments))
         assert res.exit_code == 2
         assert res.stderr.splitlines() == [

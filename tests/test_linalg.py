@@ -201,7 +201,7 @@ class TestProvesPositiveDefinite:
     definite, and proves every one whose lambda_min exceeds 1e-8 tr."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), ratio=RATIOS,
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), ratio=RATIOS,
            scale=st.integers(-6, 6))
     def test_spectra_at_the_edge(self, n, seed, ratio, scale):
         rng = np.random.default_rng(seed)
@@ -229,9 +229,24 @@ class TestProvesPositiveDefinite:
         assert not exactly_positive_definite(a)
         assert not linalg.proves_positive_definite(a)[0]
 
-    @pytest.mark.parametrize("a", [np.zeros((3, 3)), -np.eye(2), np.diag([1.0, -1.0])])
+    # A finite diagonal whose sum overflows counts as a trace that is not finite.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), -np.eye(2), np.diag([1.0, -1.0]),
+                                   np.diag([1e308, 1e308])])
     def test_nonpositive_trace_is_refused(self, a):
         assert linalg.proves_positive_definite(a) == (False, np.inf)
+
+    # A pivot that overflows to -inf, or turns NaN through inf * 0 (the
+    # third row's first entry is 1e300 / 1e-10), fails the proof quietly:
+    # the factor runs on Python floats, not numpy.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1e200], [1e200, 1.0]],
+        [[1e-20, 0.0, 1e300], [0.0, 1e-20, 0.0], [1e300, 0.0, 1e-20]],
+    ], ids=["overflow", "nan"])
+    def test_nonfinite_pivot_is_refused(self, a):
+        proved, shift = linalg.proves_positive_definite(a)
+        assert proved is False and 0 < shift < np.inf
 
     def test_identity_is_proved(self):
         assert linalg.proves_positive_definite(np.eye(4)) == (

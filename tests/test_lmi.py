@@ -353,8 +353,9 @@ class TestCheckCertificate:
 
 def test_check_decides_without_numpy_linalg(monkeypatch):
     # ok comes from the shifted Cholesky alone: with every numpy.linalg
-    # routine failing and linalg.eigh reporting a zero spectrum, the check
-    # still refuses a gain beyond the sup and accepts one below it.
+    # routine and the sampling factor linalg.cholesky failing, and
+    # linalg.eigh reporting a zero spectrum, the check still refuses a gain
+    # beyond the sup and accepts one below it.
     model = presets.benchmark_model("1A")
     refused = lmi.GainCertificate(gain=1.5, rate=0.1, p_matrix=np.eye(2),
                                   slack=0.0, p_min_eigenvalue=1.0)
@@ -366,6 +367,7 @@ def test_check_decides_without_numpy_linalg(monkeypatch):
         monkeypatch.setattr(np.linalg, name, fail)
     monkeypatch.setattr(linalg, "eigh", lambda a: linalg.EigenDecomp(
         np.zeros(len(a)), np.eye(len(a))))
+    monkeypatch.setattr(linalg, "cholesky", fail)
     assert lmi.check_certificate(model, refused)[0] is False
     ok, diag = lmi.check_certificate(model, accepted)
     assert ok is True
