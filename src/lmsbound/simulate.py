@@ -34,8 +34,10 @@ not do: a parent running there stalls as before.  The parent's own
 affinity is never changed, and where ``/proc`` cannot be read, the set has
 one CPU or the call fails, the helper runs where the scheduler puts it.
 
-When the run ends, exits early or raises, the parent closes its pipe
-ends, kills the helper with SIGKILL and reaps it.  The helper
+The helper ends by itself once it has filled the run's last chunk, so its
+teardown overlaps the parent's last chunk.  When the run ends, exits early
+or raises, the parent closes its pipe ends, kills the helper with SIGKILL
+and reaps it; the kill does nothing to a helper that has ended.  The helper
 only fills and signals, and ends with ``os._exit``; it also ends on EOF,
 so a helper whose parent died ends within one chunk.  It calls no BLAS
 routine and takes no lock that another thread of the parent may hold, so
@@ -46,19 +48,22 @@ would lose the pid of a helper already running.  Where ``os.fork`` does
 not exist, ``_draw_chunk`` calls the same fill function inline.
 
 The work that does not depend on the state is done once per guard block,
-from the block's steps of the chunk's slot: the regressors as a stack of
-the per-step (R, m) @ (m, m) products, the noise and the measurements z.
-So the formed values are still in the cache when the block steps through
-them.  The products stay per step on purpose: one (block, m) @ (m, m)
-product per replication takes another BLAS path when R = 1 and differs
-from the per-step product in the last bits.  The regressors are then
-copied once into a component-major (block, m, 1, R) buffer, so that a step
-reads one contiguous (m, 1, R) slice.  The block's buffers are allocated
-once per run and reused; the (m, block, 1, R) products h_i (theta* -
-origin)_i are formed in the memory of the (block, R, m) regressor rows,
-which are dead once copied.  The step loop takes its per-step views of
-the regressors and measurements once per run, those of the history and
-of the lanes of ``_component_sum`` once per block.
+from the block's steps of the chunk's slot: the regressors, the noise and
+the measurements z.  So the formed values are still in the cache when the
+block steps through them.  The regressors are one stacked product,
+``factor @ draws^T``: per step an (m, m) @ (m, R) product, written straight
+into a component-major (block, m, 1, R) buffer, so that a step reads one
+contiguous (m, 1, R) slice.  Its bits are those of the per-step
+(R, m) @ (m, m) product ``draws @ factor^T``: each element is the same sum
+of m products, which BLAS adds in the order of the m terms in both forms,
+in a matrix-vector product at R = 1 and a matrix-matrix product from R = 2
+(``tests/test_simulate.py::TestRegressorProduct`` checks m = 1 to 7).
+The factor is passed as it is: held in the other memory order (a C-ordered
+``factor^T``, transposed back), it takes the other matrix-vector kernel,
+which changes the bits at R = 1.  The block's buffers are allocated once
+per run and reused.  The step loop takes its per-step views of the
+regressors and measurements once per run, those of the history and of the
+lanes of ``_component_sum`` once per block.
 
 Component-major state and one update line
 -----------------------------------------
@@ -89,17 +94,23 @@ The per-block guard
 Each step writes its new state into slot j of a history buffer of
 up to ``_block_steps`` steps (a chunk, fewer when m * G * R is large); a block
 also ends at each chunk end and at ``k_max``.  The guard reads the block's
-squared error norms at its end, in a few calls over the whole block.  A
-frozen replication's value is kept in a separate (G, R) array, and its
-state is parked at zero error (theta* - origin) with scale 0, so from then
-on its squared norm reads exactly 0.  A block whose largest norm is within
-the guard therefore has no replication that crossed it.  Otherwise (NaN
-included) each crossing replication is frozen at the value and step of its
-first crossing within the block and parked, and the gains left without a
-live replication leave the batch.  This gives the bits of a guard read on
-every step: replications never interact, and a frozen replication's later
-trajectory, which the block went on stepping, is discarded.  The kept
-values are merged back in at the end.
+squared error norms at its end, in a few calls over the whole block.  It
+reads a bound first.  Take reach as the largest |state| of the block plus
+the largest |theta* - origin|.  Every component of state - (theta* -
+origin) is then at most reach, so every squared norm the block computes
+is at most m * reach^2 (1 + O(m u)), u the unit roundoff.  A block with
+m * reach^2 within half the guard therefore has no crossing, and its
+norms are not computed; NaN and inf fail that comparison and take the
+exact read.  A frozen replication's value is kept in a separate (G, R)
+array, and its state is parked at zero error (theta* - origin) with scale
+0, so from then on its squared norm reads exactly 0.  A block whose largest
+norm is within the guard therefore has no replication that crossed it.
+Otherwise (NaN included) each crossing replication is frozen at the value
+and step of its first crossing within the block and parked, and the gains
+left without a live replication leave the batch.  This gives the bits of
+a guard read on every step: replications never interact, and a frozen
+replication's later trajectory, which the block went on stepping, is
+discarded.  The kept values are merged back in at the end.
 
 Exact row reductions
 --------------------
@@ -346,9 +357,9 @@ class _Streams:
                 while True:
                     self.fill(index)
                     os.write(ready_out, b"\0")
-                    if not os.read(request_in, 1):
-                        break
                     index += 1
+                    if index * self.chunk >= self.k_max or not os.read(request_in, 1):
+                        break
             finally:
                 os._exit(0)
         # The parent keeps only its own ends, so a helper that dies
@@ -491,11 +502,12 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     chunk = min(_CHUNK_STEPS, k_max)
     configs = ([config] if gains is None
                else [replace(config, gain=float(g)) for g in gains])
-    factor_t = sampling_factor(config.model.sampling_cov).T
+    factor = sampling_factor(config.model.sampling_cov)
     gens = _make_generators(config.master_seed, reps)
     theta0 = _initial_estimates(config, gens)
 
     parked = (config.theta_star - origin)[:, None, None]
+    offset = np.abs(parked).max()
     state = np.repeat((theta0 - origin).T[:, None], len(configs), axis=1)
     gain = np.array([c.gain for c in configs])[:, None]
     live = np.ones(state.shape[1:], dtype=bool)
@@ -537,11 +549,8 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
     # leaves the batch on step 1.
     freeze(norms(state.copy())[None], 0)
     scale = gain * live
-    # The block's buffers.  The products h_i (theta* - origin)_i are formed
-    # component-major in the memory of the (block, R, m) regressor rows,
-    # which are dead once copied into ``hs``.
+    # The block's buffers, reused by every block.
     products = np.empty((m, block, 1, reps))
-    h_rows = products.reshape(block, reps, m)
     hs = np.empty((block, m, 1, reps))
     noise = np.empty((block, 1, reps))
     h_steps, z_steps = list(hs), list(noise)
@@ -555,23 +564,27 @@ def _simulate(config: SimConfig, gains: Optional[Sequence[float]],
             while step_no < end and len(order):
                 n = min(block, end - step_no)
                 i = step_no - start
-                # One (R, m) @ (m, m) product per step, stacked (see "Chunks
-                # and the draw helper" above), then copied component-major.
-                np.matmul(draws[:, i:i + n, :m].transpose(1, 0, 2), factor_t,
-                          out=h_rows[:n])
-                np.copyto(hs[:n], h_rows[:n].transpose(0, 2, 1)[:, :, None])
+                # One (m, m) @ (m, R) product per step, straight into the
+                # component-major step buffer (see "Chunks and the draw
+                # helper" above).
+                np.matmul(factor, draws[:, i:i + n, :m].transpose(1, 2, 0),
+                          out=hs[:n, :, 0])
                 zs = np.multiply(draws[:, i:i + n, m].T[:, None], sigma,
                                  out=noise[:n])
                 zs += _component_sum(np.multiply(
                     hs[:n].swapaxes(0, 1), parked[..., None], out=products[:, :n]))
                 np.copyto(state, _steps(state, h_steps[:n], z_steps[:n], scale,
                                         list(history[:n])))
-                sqs = norms(history[:n])
-                # Parked rows read 0, so a maximum within the guard means
-                # that no live row crossed it.
-                if not sqs.max() <= DIVERGENCE_GUARD:
-                    freeze(sqs, step_no)
-                    scale = gain * live
+                # A bound on every squared norm first (see "The per-block
+                # guard" above); NaN and inf fail it.
+                reach = max(history[:n].max(), -history[:n].min()) + offset
+                if not m * reach * reach <= DIVERGENCE_GUARD / 2:
+                    sqs = norms(history[:n])
+                    # Parked rows read 0, so a maximum within the guard
+                    # means that no live row crossed it.
+                    if not sqs.max() <= DIVERGENCE_GUARD:
+                        freeze(sqs, step_no)
+                        scale = gain * live
                 step_no += n
 
     merged = np.where(live, norms(state.copy()), frozen)

@@ -503,6 +503,29 @@ class TestDrawHelper:
             assert (info.si_code, info.si_status) == (os.CLD_EXITED, 0)
         _no_child_left()
 
+    @pytest.mark.parametrize("k_max", [3 * simulate._CHUNK_STEPS,
+                                       3 * simulate._CHUNK_STEPS + 5])
+    def test_helper_ends_after_its_last_chunk(self, monkeypatch, k_max):
+        # By the time the run leaves its streams, the helper has exited by
+        # itself, before the kill; the kill and the reap still follow.
+        exits = []
+        leave = simulate._Streams.__exit__
+
+        def leave_once_exited(streams, *exc):
+            deadline = time.monotonic() + 30
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            try:
+                while (info := os.waitid(os.P_PID, streams.pid, flags)) is None:
+                    assert time.monotonic() < deadline, "helper still running"
+                    time.sleep(0.001)
+                exits.append((info.si_code, info.si_status))
+            finally:
+                leave(streams, *exc)
+        monkeypatch.setattr(simulate._Streams, "__exit__", leave_once_exited)
+        run_lms(config(k_max=k_max))
+        assert exits == [(os.CLD_EXITED, 0)]
+        _no_child_left()
+
     def test_inline_draws_without_fork_are_identical(self, monkeypatch):
         cfg = config("1B")
         gains = [0.1, 0.45, 0.9]
@@ -804,6 +827,110 @@ class TestBlockGuard:
         assert settled[0] is None
 
 
+class TestBoundFirstGuard:
+    # A block's squared norms are computed only when m * reach^2, with reach
+    # the largest |state| of the block plus the largest |theta* - origin|,
+    # exceeds half the guard.  Each case must keep the bits of a guard read
+    # on every step.
+    @staticmethod
+    def assert_matches_reference(base, gains, horizons):
+        with np.errstate(over="ignore", invalid="ignore"):
+            references = [reference_run_lms(
+                SimConfig(gain=gain, k_max=horizons[-1], **base), horizons)
+                for gain in gains]
+        for k in horizons:
+            batch = run_lms(SimConfig(gain=gains[0], k_max=k, **base), gains=gains)
+            for result, states in zip(batch, references):
+                _assert_state(result, states[k])
+        return references
+
+    def test_start_at_the_guard_crosses_within_a_block(self):
+        # m = 2, each component about 7.07e5: the start's squared norm sits
+        # just below the guard, and the bound is at half the guard.
+        chunk = simulate._CHUNK_STEPS
+        base = dict(model=presets.benchmark_model("1A"), theta_star=np.zeros(2),
+                    sigma_eps=0.1, replications=16, master_seed=3,
+                    init=np.array([7.07e5, 7.07e5]))
+        gains = [0.3, 0.5, 0.7, 5.0]
+        horizons = (1, 3, 13, 100, chunk + 5, 299, 300)
+        self.assert_matches_reference(base, gains, horizons)
+        norms = _unfrozen_norms(SimConfig(gain=0.5, k_max=300, **base))
+        crossing = ~(norms <= DIVERGENCE_GUARD)
+        first = (np.argmax(crossing, axis=0) + 1)[crossing.any(axis=0)]
+        assert any(s not in (chunk, 2 * chunk, 300) for s in first)
+
+    @pytest.mark.parametrize("gain, seed, crossed", [(0.5, 9, 1), (2.0, 18, 2)])
+    def test_crossing_with_every_component_below_the_bound(self, gain, seed, crossed):
+        # m = 3, one replication: its squared norm crosses the guard on step
+        # ``crossed`` while every component, up to that step, stays below
+        # sqrt(guard / 2).  A bound without the factor m (reach^2 <= guard / 2)
+        # skips that block and misses the crossing; at m = 2 such a bound
+        # still holds, so this m = 3 case is the one that catches it.
+        cfg = SimConfig(model=M3_MODEL, theta_star=np.zeros(3), gain=gain,
+                        sigma_eps=0.1, k_max=20, replications=1, master_seed=seed,
+                        init=np.full(3, 5.76e5))
+        horizons = (1, 2, 3, 20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = reference_run_lms(cfg, horizons)
+        # With one replication, the run settles on its crossing.
+        assert states[20][2] == crossed
+        for k in horizons:
+            _assert_state(run_lms(replace(cfg, k_max=k)), states[k])
+
+    def test_crossing_with_the_estimate_near_zero(self):
+        # theta* = 1e6: on step 1 the estimate is -9.2e4 and its error
+        # crosses the guard.  A reach without |theta* - origin| skips that
+        # block and misses the crossing.
+        cfg = SimConfig(model=M1_MODEL, theta_star=np.array([1e6]), gain=2.0,
+                        sigma_eps=0.1, k_max=3, replications=1, master_seed=5,
+                        init=np.array([1e6 + 9.9e5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = reference_run_lms(cfg, (1,))
+        assert states[3][2] == 1
+        for k in (1, 3):
+            _assert_state(run_lms(replace(cfg, k_max=k)), states[k])
+
+    def test_far_parameter_takes_the_exact_path(self, monkeypatch):
+        # theta* = 1e6: the offset alone puts m * reach^2 above half the guard,
+        # so every block computes its norms, and the runs still match.
+        chunk = simulate._CHUNK_STEPS
+        far, start = np.array([1e6, 1e6]), np.array([0.5, -2.0])
+        base = dict(model=presets.benchmark_model("1B"), theta_star=far,
+                    sigma_eps=0.1, replications=12, master_seed=7, init=far + start)
+        references = self.assert_matches_reference(
+            base, [0.1, 0.45, 2.5], (1, 60, chunk + 1, 300))
+        assert references[2][300][1] == 12 and references[0][300][1] == 0
+        # Per block, one component sum forms z; a block read exactly takes
+        # one more.  The start and the end take one each.
+        calls = []
+        component_sum = simulate._component_sum
+
+        def counted(*args):
+            calls.append(1)
+            return component_sum(*args)
+        monkeypatch.setattr(simulate, "_component_sum", counted)
+        blocks = 3
+        for theta_star, per_block in ((far, 2), (np.ones(2), 1)):
+            calls.clear()
+            cfg = SimConfig(gain=0.1, k_max=blocks * chunk, **dict(
+                base, theta_star=theta_star, init=theta_star + start))
+            run_lms(cfg, gains=[0.05, 0.1])
+            assert len(calls) == 2 + per_block * blocks
+
+    def test_overflowing_gain_freezes_at_the_overflow_value(self):
+        # 1e300 overflows every state to inf on step 1, and the later steps
+        # of the same block turn it into NaN.
+        chunk = simulate._CHUNK_STEPS
+        base = dict(model=presets.benchmark_model("1A"), theta_star=THETA,
+                    sigma_eps=0.1, replications=12, master_seed=5,
+                    init="standard_normal")
+        self.assert_matches_reference(base, [0.1, 1e150, 1e300], (1, 2, 5, chunk + 1))
+        batch = run_lms(SimConfig(gain=0.1, k_max=5, **base), gains=[0.1, 1e150, 1e300])
+        assert batch[0].diverged_count == 0
+        assert np.all(batch[2].per_replication == 1e18)
+        assert batch[1].settled_step == batch[2].settled_step == 1
+
+
 class TestBlockLength:
     # Each guard block forms its regressors and measurements from the
     # chunk's draws at the block's offset.  At 1 and 7 steps blocks start
@@ -844,6 +971,56 @@ class TestBlockLength:
                 for result, default, states in zip(batch, runs[k], references):
                     _assert_same(result, default)
                     _assert_state(result, states[k])
+
+
+def _covariance(m, singular):
+    """A random m x m covariance, seeded by m.  A singular one repeats
+    component 0 as its last component; component 0's variance is 4, so the
+    Cholesky factorization meets an exactly zero last pivot."""
+    n = m - 1 if singular else m
+    b = 0.3 * np.random.default_rng(m).standard_normal((n, n))
+    cov = b @ b.T + 0.1 * np.eye(n)
+    cov[0, 0] = 4.0
+    return cov[np.ix_([*range(n), 0], [*range(n), 0])] if singular else cov
+
+
+class TestRegressorProduct:
+    # A block forms its regressors as one factor @ draws^T product per step,
+    # written component-major; each must equal the per-step draws @ factor^T
+    # of the reference loop bit for bit.  R = 1 is the matrix-vector case,
+    # where a factor held in the other memory order (a C-ordered factor^T,
+    # transposed back) changes the bits.  Blocks of 48 steps start at chunk
+    # offsets 0, 48 and 96, in both draw slots.
+    @pytest.mark.parametrize("reps", [1, 2, 3, 100])
+    @pytest.mark.parametrize("m, singular", [(1, False), *(
+        (m, singular) for m in range(2, 8) for singular in (False, True))])
+    def test_block_regressors_equal_the_per_step_product(self, monkeypatch,
+                                                         m, singular, reps):
+        model = gaussian_law(_covariance(m, singular))
+        factor = sampling_factor(model.sampling_cov)
+        # Cholesky factors are lower triangular, eigen factors are not.
+        assert np.array_equal(factor, np.tril(factor)) != singular
+        formed = []
+        steps = simulate._steps
+
+        def recording(state, hs, *args):
+            formed.extend(h[:, 0].copy() for h in hs)
+            return steps(state, hs, *args)
+        monkeypatch.setattr(simulate, "_steps", recording)
+        monkeypatch.setattr(simulate, "_block_steps", lambda *args: 48)
+        chunk = simulate._CHUNK_STEPS
+        cfg = SimConfig(model=model, theta_star=np.ones(m), gain=0.01,
+                        sigma_eps=0.1, k_max=chunk + 60, replications=reps,
+                        master_seed=m + reps, init=np.zeros(m))
+        run_lms(cfg)
+        gens = simulate._make_generators(cfg.master_seed, reps)
+        expected = []
+        for length in (chunk, 60):
+            draws = np.stack([g.standard_normal((length, m + 1)) for g in gens])
+            expected += [(draws[:, i, :m] @ factor.T).T for i in range(length)]
+        assert len(formed) == len(expected)
+        for step, (h, reference) in enumerate(zip(formed, expected)):
+            assert np.array_equal(h, reference), f"step {step + 1}"
 
 
 class TestKernelMemory:
